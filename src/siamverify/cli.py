@@ -2,9 +2,7 @@
 
 Exit codes: 0 success, 1 runtime or numeric error, 2 usage error.  Every run
 writes its fully resolved configuration as JSON next to its outputs.  All
-randomness flows from --seed (default 0, never wall clock).  DGNET_THREADS
-caps loader parallelism; the current loaders are sequential, so any value
-keeps the determinism contract.
+randomness flows from --seed (default 0, never wall clock).
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -21,13 +18,10 @@ from .dataset import (AugmentConfig, export_pairs_csv, generate_pairs,
                       merge_weak_labels, parse_manifest)
 from .evaluator import (metrics_report, roc_curve, run_ablation, score_pairs)
 from .gradcheck import grad_check
-from .losses import LossConfig, total_loss
-from .network import (DEFAULT_FREEZE, NetworkSpec, build_network, freeze_prefix,
-                      load_params, siamese_forward)
-from .tensor import Tensor
-from .trainer import TrainConfig, train
-from . import losses, ops
-from .tensor import Graph
+from .losses import LossConfig
+from .network import DEFAULT_FREEZE, NetworkSpec, build_network, freeze_prefix, load_params
+from .tensor import Graph, Tensor
+from .trainer import TrainConfig, pair_batch_loss, train
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -202,15 +196,7 @@ def _cmd_gradcheck(args) -> int:
     cfg = LossConfig(margin=0.5)
 
     def loss_fn(g: Graph | None):
-        d_scalars, p_scalars, ys = [], [], []
-        for xa, xb, y in batch:
-            emb_a, emb_b, p = siamese_forward(params, xa, xb, g)
-            d_scalars.append(losses.cosine_distance(emb_a, emb_b, g))
-            p_scalars.append(p)
-            ys.append(y)
-        bd = total_loss(ops.stack(g, d_scalars), ops.stack(g, p_scalars),
-                        np.array(ys, dtype=np.float64), cfg, g)
-        return bd.total_node
+        return pair_batch_loss(params, batch, cfg, g).total_node
 
     err = grad_check(loss_fn, params.tensors, eps=args.eps,
                      max_coords_per_tensor=args.max_coords, seed=args.seed)
@@ -254,11 +240,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
-    try:
-        _ = int(os.environ.get("DGNET_THREADS", "1"))
-    except ValueError:
-        print("DGNET_THREADS must be an integer", file=sys.stderr)
-        return 2
     try:
         return _COMMANDS[args.command](args)
     except Exception as exc:

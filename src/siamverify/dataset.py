@@ -54,7 +54,6 @@ class AugmentConfig:
     flip_prob: float = 0.5
     max_rotation_deg: float = 10.0
     max_translate_px: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.gaussian_sigma < 0 or self.max_rotation_deg < 0 or self.max_translate_px < 0:

@@ -17,7 +17,8 @@ import numpy as np
 from . import losses
 from .dataset import PairRecord, generate_pairs, load_image, merge_weak_labels
 from .errors import ConfigError, DomainError
-from .network import NetworkParams, build_network, freeze_prefix, siamese_forward
+from .network import (NetworkParams, build_network, forward_embedding, forward_head,
+                      freeze_prefix)
 from .trainer import TrainConfig, train
 
 DEFAULT_FAR_TARGETS = (0.001, 0.01, 0.1)
@@ -33,6 +34,8 @@ class ScoreSet:
     def __post_init__(self):
         self.genuine = np.asarray(self.genuine, dtype=np.float64)
         self.impostor = np.asarray(self.impostor, dtype=np.float64)
+        if np.isnan(self.genuine).any() or np.isnan(self.impostor).any():
+            raise DomainError("NaN score in ScoreSet")
 
     def require_both(self):
         if self.genuine.size == 0 or self.impostor.size == 0:
@@ -54,71 +57,78 @@ class RocCurve:
 
 def score_pairs(params: NetworkParams, pairs: list[PairRecord],
                 mode: str = "head") -> ScoreSet:
-    """Score each pair with the head sigmoid or raw embedding cosine."""
+    """Score each pair with the head sigmoid or raw embedding cosine.
+
+    Each distinct image is loaded and embedded once; the head or cosine then
+    runs per pair on the stored embeddings.
+    """
     if mode not in ("head", "cosine"):
         raise ConfigError(f"unknown scoring mode {mode!r}")
     if not pairs:
         raise ConfigError("no pairs to score")
     target = params.spec.input_shape
-    cache = {}
+    embeddings = {}
 
-    def image(rec):
+    def embed(rec):
         key = (rec.identity, rec.path)
-        if key not in cache:
-            cache[key] = load_image(rec, target)
-        return cache[key]
+        if key not in embeddings:
+            embeddings[key] = forward_embedding(params, load_image(rec, target))
+        return embeddings[key]
 
     genuine, impostor = [], []
     for pair in pairs:
-        emb_a, emb_b, p = siamese_forward(params, image(pair.a), image(pair.b))
+        emb_a, emb_b = embed(pair.a), embed(pair.b)
         if mode == "head":
-            score = p.item()
+            score = forward_head(params, emb_a, emb_b).item()
         else:
             score = losses.cosine_similarity(emb_a, emb_b).item()
         (genuine if pair.y == 1 else impostor).append(score)
     return ScoreSet(np.array(genuine), np.array(impostor))
 
 
-def _rates(s: ScoreSet, threshold: float) -> tuple[float, float]:
-    far = float(np.mean(s.impostor >= threshold))
-    gar = float(np.mean(s.genuine >= threshold))
-    return far, gar
+def _sweep(s: ScoreSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct thresholds ascending, with genuine and impostor ``>= t`` counts.
+
+    The one sort is inside ``np.unique``; ``searchsorted`` then places each
+    score at its threshold, and suffix sums count the scores at or above it.
+    """
+    s.require_both()
+    t = np.unique(np.concatenate([s.genuine, s.impostor]))
+
+    def accepted(scores):
+        at = np.bincount(np.searchsorted(t, scores), minlength=t.size)
+        return np.cumsum(at[::-1])[::-1]
+
+    return t, accepted(s.genuine), accepted(s.impostor)
 
 
 def roc_curve(s: ScoreSet) -> RocCurve:
     """Empirical ROC over every distinct observed threshold, descending."""
-    s.require_both()
-    thresholds = np.unique(np.concatenate([s.genuine, s.impostor]))[::-1]
-    points = [(np.inf, 0.0, 0.0)]
-    for t in thresholds:
-        far, gar = _rates(s, t)
-        points.append((float(t), far, gar))
-    return RocCurve(points)
+    t, acc_g, acc_i = _sweep(s)
+    far, gar = acc_i / s.impostor.size, acc_g / s.genuine.size
+    return RocCurve([(np.inf, 0.0, 0.0)] + [(float(a), float(b), float(c))
+                                            for a, b, c in zip(t[::-1], far[::-1], gar[::-1])])
 
 
 def gar_at_far(s: ScoreSet, far_target: float) -> tuple[float, float]:
     """GAR at the smallest threshold whose FAR does not exceed the target."""
     if not (0.0 < far_target <= 1.0):
         raise DomainError(f"far_target {far_target} outside (0, 1]")
-    s.require_both()
-    for t in np.unique(np.concatenate([s.genuine, s.impostor])):
-        far, gar = _rates(s, float(t))
-        if far <= far_target:
-            return gar, float(t)
-    return 0.0, np.inf
+    t, acc_g, acc_i = _sweep(s)
+    hit = np.flatnonzero(acc_i / s.impostor.size <= far_target)
+    if not hit.size:
+        return 0.0, np.inf
+    return float(acc_g[hit[0]] / s.genuine.size), float(t[hit[0]])
 
 
 def best_accuracy(s: ScoreSet) -> tuple[float, float]:
     """Exhaustive threshold sweep; ties broken toward the lowest threshold."""
-    s.require_both()
-    candidates = list(np.unique(np.concatenate([s.genuine, s.impostor]))) + [np.inf]
-    total = s.genuine.size + s.impostor.size
-    best_acc, best_t = -1.0, np.inf
-    for t in candidates:
-        acc = (np.sum(s.genuine >= t) + np.sum(s.impostor < t)) / total
-        if acc > best_acc:
-            best_acc, best_t = float(acc), float(t)
-    return best_acc, best_t
+    t, acc_g, acc_i = _sweep(s)
+    correct = acc_g + (s.impostor.size - acc_i)
+    if t[-1] < np.inf:  # the +inf sentinel accepts nothing
+        t, correct = np.append(t, np.inf), np.append(correct, s.impostor.size)
+    k = int(np.argmax(correct))  # first maximum: the lowest threshold
+    return float(correct[k] / (s.genuine.size + s.impostor.size)), float(t[k])
 
 
 def accuracy_at(s: ScoreSet, threshold: float) -> float:
@@ -184,10 +194,10 @@ def run_ablation(grid: list[dict], train_records, eval_records, base_cfg: TrainC
             params, _, _ = train(params, pairs, cfg)
             eval_pairs = generate_pairs(eval_records, protocol)
             scores = score_pairs(params, eval_pairs, mode=mode)
-            acc, thr = best_accuracy(scores)
-            row.best_accuracy = acc
-            row.best_threshold = thr
-            row.gar_at = {str(ft): gar_at_far(scores, ft)[0] for ft in far_targets}
+            report = metrics_report(scores, mode, far_targets)
+            row.best_accuracy = report["best_accuracy"]
+            row.best_threshold = report["best_threshold"]
+            row.gar_at = report["gar_at"]
         except Exception as exc:  # record and continue with the rest of the grid
             row.error = f"{type(exc).__name__}: {exc}"
         row.seconds = time.perf_counter() - t0

@@ -16,35 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .tensor import Graph, Tensor
-
-
-def kink_margin(graph: Graph) -> float:
-    """Distance from the recorded forward pass to its nearest non-smooth point.
-
-    Exact zeros from jointly-clipped ReLUs are locally constant and ignored;
-    only genuinely contested kinks count.
-    """
-    margin = np.inf
-    for _, inputs, _, op in graph.nodes:
-        if op == "relu":
-            x = np.abs(inputs[0].data)
-            if x.size:
-                margin = min(margin, float(np.min(x)))
-        elif op == "abs":
-            x = np.abs(inputs[0].data)
-            x = x[x > 0]
-            if x.size:
-                margin = min(margin, float(np.min(x)))
-        elif op == "maxpool2":
-            x = inputs[0].data
-            c, h, w = x.shape
-            win = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4)
-            top2 = np.sort(win, axis=1)[:, -2:]
-            gaps = (top2[:, 1] - top2[:, 0])[top2[:, 0] > 0]
-            if gaps.size:
-                margin = min(margin, float(np.min(gaps)))
-    return margin
+from .tensor import Graph
 
 
 def _kink_signature(graph: Graph) -> list[np.ndarray]:

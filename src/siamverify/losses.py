@@ -21,6 +21,7 @@ from .tensor import Graph, Tensor
 
 _NORM_EPS = 1e-12
 _D_TOL = 1e-9  # slack for floating-point drift of d just outside [0, 1]
+_BCE_CLAMP_EPS = 1e-7
 
 
 @dataclass
@@ -30,7 +31,6 @@ class LossConfig:
     enable_lbce: bool = True
     w_pos: float = 1.0
     w_neg: float = 1.0
-    bce_clamp_eps: float = 1e-7
 
     def __post_init__(self):
         if not (0.0 < self.margin <= 1.0):
@@ -112,8 +112,7 @@ def bce_loss(p, y, cfg: LossConfig, g: Graph | None = None) -> Tensor:
     p = _as_tensor(p)
     y = np.asarray(y, dtype=np.float64)
     _check_batch(p, y)
-    eps = cfg.bce_clamp_eps
-    pc = ops.clamp(g, p, eps, 1.0 - eps)
+    pc = ops.clamp(g, p, _BCE_CLAMP_EPS, 1.0 - _BCE_CLAMP_EPS)
     ll = ops.add(g,
                  ops.mul(g, Tensor(y), ops.log(g, pc)),
                  ops.mul(g, Tensor(1.0 - y), ops.log(g, ops.sub(g, Tensor(1.0), pc))))

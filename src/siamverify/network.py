@@ -251,7 +251,13 @@ def load_params(path, expect_spec: NetworkSpec | None = None) -> NetworkParams:
     except ValueError as exc:
         raise FormatError("corrupt checkpoint header") from exc
     off += blob_len
-    spec = NetworkSpec.from_dict(header["spec"])
+    if (not isinstance(header, dict) or not isinstance(header.get("spec"), dict)
+            or "fingerprint" not in header):
+        raise FormatError("checkpoint header needs a spec object and a fingerprint")
+    try:
+        spec = NetworkSpec.from_dict(header["spec"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed spec in checkpoint header: {exc}") from exc
     if spec.fingerprint() != header["fingerprint"]:
         raise FormatError("spec fingerprint mismatch inside checkpoint")
     if expect_spec is not None and expect_spec.fingerprint() != header["fingerprint"]:
@@ -268,5 +274,9 @@ def load_params(path, expect_spec: NetworkSpec | None = None) -> NetworkParams:
             off += n
     if off != len(raw):
         raise FormatError("trailing bytes in checkpoint")
-    return NetworkParams(spec=spec, tensors=tensors,
-                         freeze=list(header.get("freeze", [])), seed=header.get("seed", 0))
+    freeze = header.get("freeze", [False] * len(tensors))
+    if (not isinstance(freeze, list) or len(freeze) != len(tensors)
+            or not all(isinstance(f, bool) for f in freeze)):
+        raise FormatError(f"freeze mask must be {len(tensors)} booleans, one per tensor")
+    return NetworkParams(spec=spec, tensors=tensors, freeze=freeze,
+                         seed=header.get("seed", 0))

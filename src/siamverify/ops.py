@@ -232,16 +232,3 @@ def maxpool2(g, x) -> Tensor:
 
     return _rec(g, out, (x,), backward, op="maxpool2")
 
-
-_PRIMITIVES = {"relu": relu, "maxpool2": maxpool2, "linear": linear, "sigmoid": sigmoid}
-
-
-def primitive_forward(kind: str, x, params=None, g=None) -> Tensor:
-    """Dispatch a named forward primitive; ``params`` is (weight, bias) for linear."""
-    if kind not in _PRIMITIVES:
-        raise ShapeError(f"unknown primitive kind {kind!r}")
-    if kind == "linear":
-        if params is None:
-            raise ShapeError("linear primitive requires (weight, bias) params")
-        return linear(g, x, params[0], params[1])
-    return _PRIMITIVES[kind](g, x)

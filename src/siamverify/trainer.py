@@ -16,7 +16,7 @@ import numpy as np
 from . import losses, ops
 from .dataset import AugmentConfig, PairRecord, augment, load_image, pair_rng
 from .errors import ConfigError, NumericError
-from .losses import LossConfig, class_weights, total_loss
+from .losses import LossBreakdown, LossConfig, class_weights, total_loss
 from .network import NetworkParams, save_params, siamese_forward
 from .tensor import Graph, Tensor
 
@@ -87,15 +87,33 @@ def make_batches(pairs: list, batch_size: int, seed: int,
 
 
 def sgd_step(params: NetworkParams, lr: float) -> None:
-    """theta <- theta - lr * grad for unfrozen tensors; frozen ones untouched."""
-    for i, (t, frozen) in enumerate(zip(params.tensors, params.freeze)):
-        if t.grad is None:
-            continue
-        if not np.all(np.isfinite(t.grad)):
+    """theta <- theta - lr * grad for unfrozen tensors; frozen ones untouched.
+
+    Every gradient is checked before any tensor moves, so a non-finite
+    gradient leaves all parameters as they were.
+    """
+    for i, t in enumerate(params.tensors):
+        if t.grad is not None and not np.all(np.isfinite(t.grad)):
             raise NumericError(f"non-finite gradient in parameter tensor {i}")
-        if frozen:
-            continue
-        t.data = t.data - lr * t.grad
+    for t, frozen in zip(params.tensors, params.freeze):
+        if t.grad is not None and not frozen:
+            t.data = t.data - lr * t.grad
+
+
+def pair_batch_loss(params: NetworkParams, batch: list, cfg: LossConfig,
+                    g: Graph | None = None) -> LossBreakdown:
+    """Loss over ``batch = [(x_a, x_b, y), ...]``, recorded on ``g`` when given.
+
+    Per pair the tape holds stream a, stream b, the head, then the cosine
+    distance; the per-pair distances and head scores are stacked last.
+    """
+    d_scalars, p_scalars = [], []
+    for xa, xb, _ in batch:
+        emb_a, emb_b, p = siamese_forward(params, xa, xb, g)
+        d_scalars.append(losses.cosine_distance(emb_a, emb_b, g))
+        p_scalars.append(p)
+    y = np.array([label for _, _, label in batch], dtype=np.float64)
+    return total_loss(ops.stack(g, d_scalars), ops.stack(g, p_scalars), y, cfg, g)
 
 
 class _ImageCache:
@@ -133,20 +151,14 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
         n_correct = 0
         try:
             for batch in batches:
-                g = Graph()
-                d_scalars, p_scalars, ys = [], [], []
+                inputs = []
                 for idx, pair in batch:
                     rng = pair_rng(cfg.seed, epoch, idx)
                     xa = augment(cache.get(pair.a), cfg.augment, rng)
                     xb = augment(cache.get(pair.b), cfg.augment, rng)
-                    emb_a, emb_b, p = siamese_forward(params, xa, xb, g)
-                    d_scalars.append(losses.cosine_distance(emb_a, emb_b, g))
-                    p_scalars.append(p)
-                    ys.append(pair.y)
-                d_vec = ops.stack(g, d_scalars)
-                p_vec = ops.stack(g, p_scalars)
-                y = np.array(ys, dtype=np.float64)
-                bd = total_loss(d_vec, p_vec, y, loss_cfg, g)
+                    inputs.append((xa, xb, pair.y))
+                g = Graph()
+                bd = pair_batch_loss(params, inputs, loss_cfg, g)
                 if not np.isfinite(bd.l_total):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
                 for t in params.tensors:
@@ -155,7 +167,8 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
                 sgd_step(params, cfg.lr)
                 n = len(batch)
                 sums += np.array([bd.l_c, bd.l_r, bd.l_bce, bd.l_total]) * n
-                n_correct += int(np.sum((bd.p >= 0.5) == (y == 1)))
+                labels = np.array([pair.y for _, pair in batch])
+                n_correct += int(np.sum((bd.p >= 0.5) == (labels == 1)))
         except NumericError:
             # abort training but keep the last good checkpoint
             if out_dir is not None and last_good is None:

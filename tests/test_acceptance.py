@@ -23,7 +23,6 @@ from siamverify import (AugmentConfig, LossConfig, NetworkSpec, ScoreSet,
 from siamverify import losses, ops
 from siamverify.evaluator import run_ablation
 from siamverify.gradcheck import GradCheckResult
-from siamverify.ops import primitive_forward
 
 TINY = NetworkSpec.tiny()
 

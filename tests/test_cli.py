@@ -34,18 +34,6 @@ class TestUsage:
         assert main(["--help"]) == 0
         capsys.readouterr()
 
-    def test_bad_thread_env(self, corpus, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DGNET_THREADS", "many")
-        assert main(["pairs", "--manifest", corpus[0], "--protocol", "overall",
-                     "--out", str(tmp_path / "p.csv")]) == 2
-        assert "DGNET_THREADS" in capsys.readouterr().err
-
-    def test_thread_env_accepted(self, corpus, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DGNET_THREADS", "4")
-        assert main(["pairs", "--manifest", corpus[0], "--protocol", "overall",
-                     "--out", str(tmp_path / "p.csv")]) == 0
-        capsys.readouterr()
-
 
 class TestPairs:
     def test_csv_contract(self, corpus, tmp_path, capsys):

@@ -253,7 +253,7 @@ class TestAugment:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_shape_and_range_preserved(self, seed):
-        cfg = AugmentConfig(seed=seed)
+        cfg = AugmentConfig()
         out = augment(self.IMG, cfg, np.random.default_rng(seed))
         assert out.shape == self.IMG.shape
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0

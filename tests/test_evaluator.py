@@ -190,12 +190,74 @@ class TestScorePairs:
         assert np.array_equal(s1.genuine, s2.genuine)
         assert np.all((s1.genuine >= 0) & (s1.genuine <= 1))  # nonneg embeddings
 
+    def shared_pairs(self, tmp_path, n_images=4):
+        """Every unordered pair of n_images images: each image is in n_images - 1 pairs."""
+        from siamverify.images import write_pgm
+        rng = np.random.default_rng(1)
+        recs = []
+        for i in range(n_images):
+            p = tmp_path / f"sh{i}.pgm"
+            write_pgm(p, rng.random((1, 32, 32)))
+            recs.append(ImageRecord("id01", str(p), "genuine"))
+        return [PairRecord(a, b, (i + j) % 2, "overall")
+                for i, a in enumerate(recs) for j, b in enumerate(recs) if i < j]
+
+    @pytest.mark.parametrize("mode", ["head", "cosine"])
+    def test_each_image_embedded_once(self, tmp_path, monkeypatch, mode):
+        from siamverify import evaluator
+        calls = []
+        embed = evaluator.forward_embedding
+
+        def counting(params, x, g=None):
+            calls.append(x)
+            return embed(params, x, g)
+
+        monkeypatch.setattr(evaluator, "forward_embedding", counting)
+        params = build_network(NetworkSpec.tiny(), seed=0)
+        score_pairs(params, self.shared_pairs(tmp_path), mode=mode)
+        assert len(calls) == 4  # 6 pairs over 4 images
+
+    def test_scores_equal_per_pair_forward(self, tmp_path):
+        from siamverify import cosine_similarity, load_image, siamese_forward
+        params = build_network(NetworkSpec.tiny(), seed=2)
+        pairs = self.shared_pairs(tmp_path)
+        shape = params.spec.input_shape
+        ref = {"head": ([], []), "cosine": ([], [])}
+        for pair in pairs:
+            emb_a, emb_b, p = siamese_forward(params, load_image(pair.a, shape),
+                                              load_image(pair.b, shape))
+            side = 0 if pair.y == 1 else 1
+            ref["head"][side].append(p.item())
+            ref["cosine"][side].append(cosine_similarity(emb_a, emb_b).item())
+        for mode, (gen, imp) in ref.items():
+            s = score_pairs(params, pairs, mode=mode)
+            assert s.genuine.tobytes() == np.array(gen).tobytes()
+            assert s.impostor.tobytes() == np.array(imp).tobytes()
+
     def test_bad_mode_and_empty(self, tmp_path):
         params = build_network(NetworkSpec.tiny(), seed=0)
         with pytest.raises(ConfigError):
             score_pairs(params, self.make_pairs(tmp_path), mode="euclid")
         with pytest.raises(ConfigError):
             score_pairs(params, [], mode="head")
+
+
+class TestScoreSet:
+    @pytest.mark.parametrize("side", ["genuine", "impostor"])
+    def test_nan_rejected(self, side):
+        scores = {"genuine": [0.9, 0.5], "impostor": [0.1, 0.2]}
+        scores[side][1] = np.nan
+        with pytest.raises(DomainError):
+            ScoreSet(**scores)
+
+    def test_infinite_scores_match_brute_force(self):
+        s = ScoreSet(genuine=np.array([np.inf, 0.8, -np.inf, 0.4]),
+                     impostor=np.array([np.inf, np.inf, 0.3, -np.inf]))
+        assert best_accuracy(s) == brute_force_best_acc(s)
+        for ft in (0.25, 0.5, 0.75, 1.0):
+            assert gar_at_far(s, ft) == brute_force_gar(s, ft)
+        thresholds = [t for t, _, _ in roc_curve(s).points]
+        assert thresholds == [np.inf, np.inf, 0.8, 0.4, 0.3, -np.inf]
 
 
 class TestMetricsReport:

@@ -211,3 +211,51 @@ class TestCheckpoint:
                              + blob + raw[15 + blob_len:])
         with pytest.raises(FormatError):
             load_params(tampered)
+
+
+def _with_header(tmp_path, mutate):
+    """Save a tiny network, apply ``mutate`` to its JSON header, return the path."""
+    import json
+    import struct
+
+    path = tmp_path / "net.dgnet"
+    save_params(build_network(TINY, seed=0), path)
+    raw = path.read_bytes()
+    blob_len = struct.unpack_from("<II", raw, 7)[1]
+    header = mutate(json.loads(raw[15:15 + blob_len]))
+    blob = json.dumps(header, sort_keys=True).encode()
+    out = tmp_path / "mutated.dgnet"
+    out.write_bytes(raw[:7] + struct.pack("<II", 1, len(blob)) + blob + raw[15 + blob_len:])
+    return out
+
+
+class TestCheckpointHeader:
+    @pytest.mark.parametrize("mutate", [
+        lambda h: {k: v for k, v in h.items() if k != "spec"},
+        lambda h: {k: v for k, v in h.items() if k != "fingerprint"},
+        lambda h: {**h, "spec": [1, 2]}, lambda h: {**h, "spec": "tiny"},
+        lambda h: {**h, "spec": {"name": "tiny"}}, lambda h: [h],
+    ], ids=["no-spec", "no-fingerprint", "spec-list", "spec-string", "spec-incomplete",
+            "header-list"])
+    def test_malformed_header_is_format_error(self, tmp_path, mutate):
+        with pytest.raises(FormatError):
+            load_params(_with_header(tmp_path, mutate))
+
+    @pytest.mark.parametrize("mask", [
+        [True], [], [False] * 15, [False] * 17, [0] * 16, ["false"] * 16, None, "none",
+        {"0": True},
+    ], ids=["one-entry", "empty", "short", "long", "ints", "strings", "null", "string",
+            "object"])
+    def test_bad_freeze_mask_is_format_error(self, tmp_path, mask):
+        with pytest.raises(FormatError):
+            load_params(_with_header(tmp_path, lambda h: {**h, "freeze": mask}))
+
+    def test_missing_freeze_means_unfrozen(self, tmp_path):
+        params = load_params(_with_header(
+            tmp_path, lambda h: {k: v for k, v in h.items() if k != "freeze"}), expect_spec=TINY)
+        assert params.freeze == [False] * len(params.tensors)
+
+    def test_valid_mask_loads(self, tmp_path):
+        mask = [True] * 2 + [False] * 14
+        params = load_params(_with_header(tmp_path, lambda h: {**h, "freeze": mask}))
+        assert params.freeze == mask

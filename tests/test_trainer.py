@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from siamverify import (AugmentConfig, LossConfig, NetworkSpec, TrainConfig,
+from siamverify import (AugmentConfig, Graph, LossConfig, NetworkSpec, TrainConfig,
                         Tensor, build_network, freeze_prefix, load_params,
                         make_batches, sgd_step, train)
+from siamverify.trainer import pair_batch_loss
 from siamverify.dataset import ImageRecord, PairRecord
 from siamverify.errors import ConfigError, NumericError
 from siamverify.images import write_pgm
@@ -96,6 +97,48 @@ class TestSgdStep:
             sgd_step(params, lr=1e-3)
 
 
+    def test_nonfinite_grad_leaves_every_tensor_unchanged(self):
+        params = build_network(TINY, seed=0)
+        for t in params.tensors:
+            t.grad = np.ones_like(t.data)
+        params.tensors[3].grad[0] = np.nan
+        before = [t.data.copy() for t in params.tensors]
+        with pytest.raises(NumericError, match="tensor 3"):
+            sgd_step(params, lr=1e-3)
+        assert all(t.data.tobytes() == b.tobytes() for t, b in zip(params.tensors, before))
+
+
+class TestPairBatchLoss:
+    def test_matches_inline_per_pair_tape(self):
+        from siamverify import cosine_distance, ops, siamese_forward, total_loss
+        rng = np.random.default_rng(4)
+        batch = [(Tensor(rng.random(TINY.input_shape)), Tensor(rng.random(TINY.input_shape)), y)
+                 for y in (1, 0, 0)]
+        cfg = LossConfig(w_pos=1.5, w_neg=0.75)
+
+        def grads(loss_fn):
+            params = build_network(TINY, seed=3)
+            g = Graph()
+            bd = loss_fn(params, g)
+            g.backward(bd.total_node)
+            return bd, [t.grad.tobytes() for t in params.tensors]
+
+        def inline(params, g):
+            d, p = [], []
+            for xa, xb, _ in batch:
+                emb_a, emb_b, score = siamese_forward(params, xa, xb, g)
+                d.append(cosine_distance(emb_a, emb_b, g))
+                p.append(score)
+            return total_loss(ops.stack(g, d), ops.stack(g, p),
+                              np.array([1.0, 0.0, 0.0]), cfg, g)
+
+        got, got_grads = grads(lambda params, g: pair_batch_loss(params, batch, cfg, g))
+        want, want_grads = grads(inline)
+        assert (got.l_c, got.l_r, got.l_bce, got.l_total) == \
+            (want.l_c, want.l_r, want.l_bce, want.l_total)
+        assert got_grads == want_grads
+
+
 class TestTrainLoop:
     def test_zero_epochs_is_identity(self, tmp_path):
         pairs = make_pairs(tmp_path, 2, 2)
@@ -134,7 +177,7 @@ class TestTrainLoop:
 
     def test_deterministic_given_seed(self, tmp_path):
         pairs = make_pairs(tmp_path, 3, 3)
-        cfg = fast_cfg(epochs=2, augment=AugmentConfig(seed=0))
+        cfg = fast_cfg(epochs=2, augment=AugmentConfig())
         p1, log1, _ = train(build_network(TINY, seed=1), pairs, cfg)
         p2, log2, _ = train(build_network(TINY, seed=1), pairs, cfg)
         assert all(np.array_equal(a.data, b.data)
