@@ -3,9 +3,9 @@
 A central difference only estimates the derivative when both evaluation
 points lie in the same smooth cell of the loss; stepping across a ReLU kink,
 a pooling argmax flip, or an abs sign change produces a meaningless value.
-``grad_check`` therefore records the activation pattern of every non-smooth
-primitive ("kink signature") at each evaluation and skips coordinates whose
-+/-eps stencil changes the pattern.  With random inputs such coordinates are
+``grad_check`` therefore collects the activation pattern that every non-smooth
+primitive records on the tape ("kink signature") at each evaluation and skips
+coordinates whose +/-eps stencil changes the pattern.  With random inputs such coordinates are
 rare; the skipped count is reported via ``GradCheckResult``.
 """
 
@@ -20,20 +20,7 @@ from .tensor import Graph
 
 
 def _kink_signature(graph: Graph) -> list[np.ndarray]:
-    sig = []
-    for out, inputs, _, op in graph.nodes:
-        if op == "relu":
-            sig.append(inputs[0].data > 0)
-        elif op == "abs":
-            sig.append(np.sign(inputs[0].data))
-        elif op == "clamp":
-            sig.append(np.equal(inputs[0].data, out.data))
-        elif op == "maxpool2":
-            x = inputs[0].data
-            c, h, w = x.shape
-            win = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4)
-            sig.append(win.argmax(axis=1))
-    return sig
+    return [pattern for _, _, _, pattern in graph.nodes if pattern is not None]
 
 
 def _same_signature(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
@@ -71,8 +58,8 @@ def grad_check(loss_fn, params, eps: float = 1e-5,
     out = loss_fn(graph)
     if out.shape != ():
         raise ConfigError(f"loss_fn must return a scalar, got shape {out.shape}")
-    graph.backward(out)
     base_sig = _kink_signature(graph)
+    graph.backward(out)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
     def evaluate() -> tuple[float, list[np.ndarray]]:

@@ -45,7 +45,6 @@ class LossBreakdown:
     l_r: float
     l_bce: float
     l_total: float
-    d: np.ndarray
     p: np.ndarray
     total_node: Tensor | None = None  # scalar tape tensor when built on a graph
 
@@ -147,5 +146,5 @@ def total_loss(d, p, y, cfg: LossConfig, g: Graph | None = None) -> LossBreakdow
         lbce_val = lbce.item()
         total = ops.add(g, total, lbce)
     return LossBreakdown(l_c=lc.item(), l_r=lr_val, l_bce=lbce_val,
-                         l_total=total.item(), d=d.data.copy(), p=p.data.copy(),
+                         l_total=total.item(), p=p.data.copy(),
                          total_node=total)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -225,12 +226,20 @@ def save_params(params: NetworkParams, path) -> None:
         "freeze": params.freeze,
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-        f.write(blob)
-        for t in params.tensors:
-            f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    # write beside the target and rename, so a failed write leaves the old file
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
+            f.write(blob)
+            for t in params.tensors:
+                f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_params(path, expect_spec: NetworkSpec | None = None) -> NetworkParams:
@@ -278,5 +287,7 @@ def load_params(path, expect_spec: NetworkSpec | None = None) -> NetworkParams:
     if (not isinstance(freeze, list) or len(freeze) != len(tensors)
             or not all(isinstance(f, bool) for f in freeze)):
         raise FormatError(f"freeze mask must be {len(tensors)} booleans, one per tensor")
-    return NetworkParams(spec=spec, tensors=tensors, freeze=freeze,
-                         seed=header.get("seed", 0))
+    seed = header.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise FormatError(f"checkpoint seed must be an integer, got {seed!r}")
+    return NetworkParams(spec=spec, tensors=tensors, freeze=freeze, seed=seed)

@@ -17,9 +17,9 @@ from .errors import ShapeError
 from .tensor import Graph, Tensor
 
 
-def _rec(g: Graph | None, out: Tensor, inputs, backward_fn, op: str = "") -> Tensor:
+def _rec(g: Graph | None, out: Tensor, inputs, backward_fn, pattern=None) -> Tensor:
     if g is not None:
-        g.record(out, inputs, backward_fn, op)
+        g.record(out, inputs, backward_fn, pattern)
     return out
 
 
@@ -83,7 +83,7 @@ def relu(g, a) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0  # subgradient 0 at the kink
     out = Tensor(np.where(mask, a.data, 0.0))
-    return _rec(g, out, (a,), lambda go: (go * mask,), op="relu")
+    return _rec(g, out, (a,), lambda go: (go * mask,), mask)
 
 
 def sigmoid(g, a) -> Tensor:
@@ -112,14 +112,14 @@ def absolute(g, a) -> Tensor:
     a = _as_tensor(a)
     sign = np.sign(a.data)  # subgradient 0 at 0
     out = Tensor(np.abs(a.data))
-    return _rec(g, out, (a,), lambda go: (go * sign,), op="abs")
+    return _rec(g, out, (a,), lambda go: (go * sign,), sign)
 
 
 def clamp(g, a, lo: float, hi: float) -> Tensor:
     a = _as_tensor(a)
     inside = (a.data > lo) & (a.data < hi)
     out = Tensor(np.clip(a.data, lo, hi))
-    return _rec(g, out, (a,), lambda go: (go * inside,), op="clamp")
+    return _rec(g, out, (a,), lambda go: (go * inside,), inside)
 
 
 def tsum(g, a) -> Tensor:
@@ -230,5 +230,5 @@ def maxpool2(g, x) -> Tensor:
         dx = dwin.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
         return (dx,)
 
-    return _rec(g, out, (x,), backward, op="maxpool2")
+    return _rec(g, out, (x,), backward, idx)
 

@@ -131,14 +131,13 @@ class _ImageCache:
 
 
 def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
-          out_dir=None, progress=None):
+          out_dir=None):
     """Run the SGD loop; returns (params, TrainLog, checkpoint paths)."""
     if not pairs:
         raise ConfigError("no training pairs")
     log = TrainLog()
     checkpoints = []
     cache = _ImageCache(params.spec.input_shape)
-    last_good = None
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
@@ -171,8 +170,8 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
                 n_correct += int(np.sum((bd.p >= 0.5) == (labels == 1)))
         except NumericError:
             # abort training but keep the last good checkpoint
-            if out_dir is not None and last_good is None:
-                last_good = _checkpoint(params, out_dir, epoch, checkpoints)
+            if out_dir is not None and not checkpoints:
+                _checkpoint(params, out_dir, epoch, checkpoints)
             raise
 
         n_pairs = len(pairs)
@@ -182,20 +181,17 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
                        train_acc=n_correct / n_pairs,
                        seconds=time.perf_counter() - t0)
         log.rows.append(row)
-        if progress is not None:
-            progress(row)
         if out_dir is not None and cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
-            last_good = _checkpoint(params, out_dir, epoch, checkpoints)
+            _checkpoint(params, out_dir, epoch, checkpoints)
 
     if out_dir is not None:
         _checkpoint(params, out_dir, "final", checkpoints)
     return params, log, checkpoints
 
 
-def _checkpoint(params, out_dir, tag, checkpoints) -> str:
+def _checkpoint(params, out_dir, tag, checkpoints) -> None:
     import os
 
     path = os.path.join(str(out_dir), f"checkpoint_{tag}.dgnet")
     save_params(params, path)
     checkpoints.append(path)
-    return path

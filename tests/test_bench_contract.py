@@ -1,0 +1,62 @@
+"""The benchmark tracer's view of the program: the names it wraps exist, and
+tracing does not change gradients or kink patterns.
+
+``perfbench/tracer.py`` is loaded from its file path, not through
+``sys.path``, because ``perfbench/corpus.py`` would shadow ``tests/corpus.py``.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from siamverify import Graph, Tensor, ops
+from siamverify.gradcheck import _kink_signature
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_wrapped_functions_exist(tracer):
+    for module, attr, _ in tracer.FUNCTIONS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_wrapped_ops_exist(tracer):
+    for name in tracer.OPS:
+        assert callable(getattr(ops, name, None)), f"ops.{name}"
+
+
+def _relu_pool_step():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((2, 4, 4)))
+    k = Tensor(rng.standard_normal((2, 2, 3, 3)))
+    b = Tensor(rng.standard_normal(2))
+    g = Graph()
+    y = ops.maxpool2(g, ops.relu(g, ops.conv2d(g, x, k, b, 1, 1)))
+    loss = ops.tsum(g, ops.mul(g, y, y))
+    sig = _kink_signature(g)
+    g.backward(loss)
+    return sig, [t.grad for t in (x, k, b)]
+
+
+def test_traced_step_matches_untraced(tracer):
+    sig_plain, grads_plain = _relu_pool_step()
+    t = tracer.Tracer(boundary="tensor.backward")
+    with t.active():
+        sig_traced, grads_traced = _relu_pool_step()
+    names = {span[0] for span in t.spans}
+    assert {"ops.relu", "ops.maxpool2.bwd", "tensor.backward"} <= names
+    assert len(sig_plain) == len(sig_traced) == 2
+    for a, b in zip(sig_plain, sig_traced):
+        np.testing.assert_array_equal(a, b)
+    for a, b in zip(grads_plain, grads_traced):
+        np.testing.assert_array_equal(a, b)

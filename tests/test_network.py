@@ -188,6 +188,22 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_params(padded)
 
+    def test_failed_save_keeps_old_file(self, tmp_path):
+        class Unreadable:
+            @property
+            def data(self):
+                raise OSError("simulated write failure")
+
+        path = tmp_path / "net.dgnet"
+        save_params(build_network(TINY, seed=0), path)
+        before = path.read_bytes()
+        params = build_network(TINY, seed=1)
+        params.tensors[3] = Unreadable()  # fails after the header and three tensors
+        with pytest.raises(OSError, match="simulated"):
+            save_params(params, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.dgnet"]
+
     def test_spec_mismatch(self, tmp_path):
         path = tmp_path / "net.dgnet"
         save_params(build_network(TINY, seed=0), path)
@@ -235,8 +251,12 @@ class TestCheckpointHeader:
         lambda h: {k: v for k, v in h.items() if k != "fingerprint"},
         lambda h: {**h, "spec": [1, 2]}, lambda h: {**h, "spec": "tiny"},
         lambda h: {**h, "spec": {"name": "tiny"}}, lambda h: [h],
+        lambda h: {**h, "seed": {"x": [1]}}, lambda h: {**h, "seed": "7"},
+        lambda h: {**h, "seed": True}, lambda h: {**h, "seed": 1.5},
+        lambda h: {**h, "seed": None},
     ], ids=["no-spec", "no-fingerprint", "spec-list", "spec-string", "spec-incomplete",
-            "header-list"])
+            "header-list", "seed-object", "seed-string", "seed-bool", "seed-float",
+            "seed-null"])
     def test_malformed_header_is_format_error(self, tmp_path, mutate):
         with pytest.raises(FormatError):
             load_params(_with_header(tmp_path, mutate))
@@ -254,6 +274,11 @@ class TestCheckpointHeader:
         params = load_params(_with_header(
             tmp_path, lambda h: {k: v for k, v in h.items() if k != "freeze"}), expect_spec=TINY)
         assert params.freeze == [False] * len(params.tensors)
+
+    def test_missing_seed_means_zero(self, tmp_path):
+        params = load_params(_with_header(
+            tmp_path, lambda h: {k: v for k, v in h.items() if k != "seed"}), expect_spec=TINY)
+        assert params.seed == 0
 
     def test_valid_mask_loads(self, tmp_path):
         mask = [True] * 2 + [False] * 14

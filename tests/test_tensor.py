@@ -6,7 +6,7 @@ import pytest
 from siamverify import Graph, Tensor, grad_check
 from siamverify import ops
 from siamverify.errors import ConfigError, NumericError, ShapeError, StateError
-from siamverify.gradcheck import GradCheckResult
+from siamverify.gradcheck import GradCheckResult, _kink_signature
 
 
 class TestConv2d:
@@ -132,6 +132,66 @@ class TestBackward:
         y = ops.add(g, ops.mul(g, x, x), ops.mul(g, x, Tensor(3.0)))
         g.backward(y)
         assert x.grad == pytest.approx(7.0)  # 2x + 3
+
+    def test_backward_consumes_tape_and_writes_leaves_only(self):
+        x, w, b = Tensor([1.0, -2.0]), Tensor([[0.5, 1.5], [-1.0, 2.0]]), Tensor([0.1, 0.2])
+        g = Graph()
+        h = ops.linear(g, x, w, b)
+        r = ops.relu(g, h)
+        loss = ops.tsum(g, r)
+        g.backward(loss)
+        assert len(g) == 0
+        assert h.grad is None and r.grad is None and loss.grad is None
+        np.testing.assert_array_equal(w.grad, np.outer(h.data > 0, x.data))
+        np.testing.assert_array_equal(b.grad, (h.data > 0).astype(float))
+
+    def test_second_backward_raises(self):
+        x = Tensor(3.0)
+        g = Graph()
+        y = ops.mul(g, x, x)
+        g.backward(y)
+        with pytest.raises(StateError):
+            g.backward(y)
+        assert x.grad == pytest.approx(6.0)
+
+
+def _derived_signature(graph):
+    """Reference: re-derive each non-smooth node's pattern from its input.
+
+    The op is read from the backward closure's qualified name, e.g.
+    ``relu.<locals>.<lambda>``.
+    """
+    sig = []
+    for out, inputs, backward_fn, _ in graph.nodes:
+        op = backward_fn.__qualname__.split(".")[0]
+        if op == "relu":
+            sig.append(inputs[0].data > 0)
+        elif op == "absolute":
+            sig.append(np.sign(inputs[0].data))
+        elif op == "clamp":
+            sig.append(np.equal(inputs[0].data, out.data))
+        elif op == "maxpool2":
+            x = inputs[0].data
+            c, h, w = x.shape
+            win = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4)
+            sig.append(win.argmax(axis=1))
+    return sig
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kink_signature_matches_per_op_derivation(seed):
+    # continuous random inputs never land exactly on a clamp bound
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((2, 4, 4)))
+    g = Graph()
+    pooled = ops.reshape(g, ops.maxpool2(g, ops.relu(g, x)), (8,))
+    h = ops.absolute(g, ops.sub(g, pooled, Tensor(rng.standard_normal(8))))
+    ops.tsum(g, ops.clamp(g, ops.sigmoid(g, h), 0.6, 0.8))
+    ours, oracle = _kink_signature(g), _derived_signature(g)
+    assert len(ours) == len(oracle) == 4
+    for a, b in zip(ours, oracle):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(np.ravel(a), np.ravel(b))
 
 
 # ops under test: (builder making (loss_fn, params)) for FD agreement

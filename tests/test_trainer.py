@@ -234,6 +234,34 @@ class TestTrainLoop:
             train(params, pairs, fast_cfg(epochs=1), out_dir=out)
         assert (out / "checkpoint_0.dgnet").exists()
 
+    def test_numeric_abort_checkpoint_is_last_completed_step(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from siamverify import trainer
+
+        real, calls, after_step_2 = trainer.pair_batch_loss, [], []
+
+        def nan_on_third_batch(params, batch, cfg, g=None):
+            calls.append(1)
+            bd = real(params, batch, cfg, g)
+            if len(calls) < 3:
+                return bd
+            after_step_2.extend(t.data.copy() for t in params.tensors)
+            return replace(bd, l_total=float("nan"))
+
+        monkeypatch.setattr(trainer, "pair_batch_loss", nan_on_third_batch)
+        pairs = make_pairs(tmp_path, 3, 3)
+        params = build_network(TINY, seed=0)
+        initial = [t.data.copy() for t in params.tensors]
+        out = tmp_path / "run"
+        out.mkdir()
+        with pytest.raises(NumericError):
+            train(params, pairs, fast_cfg(epochs=1, batch_size=2), out_dir=out)
+        saved = load_params(out / "checkpoint_0.dgnet", expect_spec=TINY)
+        assert len(calls) == 3
+        assert not all(np.array_equal(a, b) for a, b in zip(after_step_2, initial))
+        assert all(np.array_equal(t.data, b) for t, b in zip(saved.tensors, after_step_2))
+
 
 class TestTrainConfig:
     def test_validation(self):
