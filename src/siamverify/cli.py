@@ -14,12 +14,12 @@ import sys
 
 import numpy as np
 
-from .dataset import (AugmentConfig, export_pairs_csv, generate_pairs,
+from .dataset import (PROTOCOLS, SPLITS, AugmentConfig, export_pairs_csv, generate_pairs,
                       merge_weak_labels, parse_manifest)
-from .evaluator import (metrics_report, roc_curve, run_ablation, score_pairs)
+from .evaluator import SCORE_MODES, metrics_report, roc_curve, run_ablation, score_pairs
 from .gradcheck import grad_check
 from .losses import LossConfig
-from .network import DEFAULT_FREEZE, NetworkSpec, build_network, freeze_prefix, load_params
+from .network import DEFAULT_FREEZE, NetworkSpec, build_network, load_params
 from .tensor import Graph, Tensor
 from .trainer import TrainConfig, pair_batch_loss, train
 
@@ -32,10 +32,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model from a manifest")
     p_train.add_argument("--manifest", required=True)
     p_train.add_argument("--web-manifest")
-    p_train.add_argument("--profile", default="tiny", choices=["tiny", "vggface16"])
+    p_train.add_argument("--profile", default="tiny", choices=sorted(DEFAULT_FREEZE))
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--protocol", default="overall",
-                         choices=["impersonation", "obfuscation", "overall"])
+    p_train.add_argument("--protocol", default="overall", choices=PROTOCOLS)
     p_train.add_argument("--margin", type=float)
     p_train.add_argument("--lr", type=float)
     p_train.add_argument("--epochs", type=int)
@@ -52,22 +51,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score pairs with a trained checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--manifest", required=True)
-    p_eval.add_argument("--protocol", default="overall",
-                        choices=["impersonation", "obfuscation", "overall"])
-    p_eval.add_argument("--mode", default="head", choices=["head", "cosine"])
-    p_eval.add_argument("--split", default=None, choices=["train", "val", "test"])
+    p_eval.add_argument("--protocol", default="overall", choices=PROTOCOLS)
+    p_eval.add_argument("--mode", default="head", choices=SCORE_MODES)
+    p_eval.add_argument("--split", default=None, choices=SPLITS)
     p_eval.add_argument("--out", required=True)
 
     p_pairs = sub.add_parser("pairs", help="export the pair list for a protocol")
     p_pairs.add_argument("--manifest", required=True)
-    p_pairs.add_argument("--protocol", required=True,
-                         choices=["impersonation", "obfuscation", "overall"])
+    p_pairs.add_argument("--protocol", required=True, choices=PROTOCOLS)
     p_pairs.add_argument("--out", required=True)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference gradient validation")
-    p_gc.add_argument("--profile", default="tiny", choices=["tiny", "vggface16"])
+    p_gc.add_argument("--profile", default="tiny", choices=sorted(DEFAULT_FREEZE))
     p_gc.add_argument("--tol", type=float, default=1e-4)
-    p_gc.add_argument("--eps", type=float, default=1e-5)
+    p_gc.add_argument("--eps", type=float)
     p_gc.add_argument("--seed", type=int, default=0)
     p_gc.add_argument("--max-coords", type=int, default=20,
                       help="coordinates sampled per parameter tensor")
@@ -76,11 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_abl.add_argument("--grid", required=True, help="JSON list of grid entries")
     p_abl.add_argument("--manifest", required=True)
     p_abl.add_argument("--web-manifest")
-    p_abl.add_argument("--profile", default="tiny", choices=["tiny", "vggface16"])
-    p_abl.add_argument("--protocol", default="overall",
-                       choices=["impersonation", "obfuscation", "overall"])
-    p_abl.add_argument("--epochs", type=int, default=10)
-    p_abl.add_argument("--seed", type=int, default=0)
+    p_abl.add_argument("--profile", default="tiny", choices=sorted(DEFAULT_FREEZE))
+    p_abl.add_argument("--protocol", default="overall", choices=PROTOCOLS)
+    p_abl.add_argument("--epochs", type=int)
+    p_abl.add_argument("--seed", type=int)
     p_abl.add_argument("--out", required=True)
     return parser
 
@@ -90,6 +86,13 @@ def _file_config(path) -> dict:
         return {}
     with open(path, "r", encoding="utf-8") as f:
         return json.load(f)
+
+
+def _given(args, keys, file_cfg=None) -> dict:
+    """The ``keys`` a flag or the config file sets (a flag wins); others keep their default."""
+    given = {k: file_cfg[k] for k in keys if k in (file_cfg or {})}
+    given.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
+    return given
 
 
 def _write_config(out_dir, config: dict) -> None:
@@ -104,13 +107,9 @@ def _records_for_split(records, split):
 
 def _cmd_train(args) -> int:
     file_cfg = _file_config(args.config)
-
-    def pick(flag, key, default):
-        return flag if flag is not None else file_cfg.get(key, default)
-
     spec = NetworkSpec.profile(args.profile)
     loss_cfg = LossConfig(
-        margin=pick(args.margin, "margin", 0.5),
+        **_given(args, ("margin",), file_cfg),
         enable_lr=not (args.no_lr_loss or file_cfg.get("no_lr_loss", False)),
         enable_lbce=not (args.no_bce_loss or file_cfg.get("no_bce_loss", False)),
     )
@@ -118,15 +117,13 @@ def _cmd_train(args) -> int:
     aug_cfg = (AugmentConfig(gaussian_sigma=0.0, flip_prob=0.0,
                              max_rotation_deg=0.0, max_translate_px=0)
                if no_aug else AugmentConfig())
+    settings = {"freeze_k": DEFAULT_FREEZE[args.profile]}
+    settings.update(_given(args, ("lr", "epochs", "batch_size", "freeze_k", "seed",
+                                  "checkpoint_every"), file_cfg))
     cfg = TrainConfig(
-        lr=pick(args.lr, "lr", 1e-3),
-        epochs=pick(args.epochs, "epochs", 10),
-        batch_size=pick(args.batch_size, "batch_size", 16),
-        freeze_k=pick(args.freeze_k, "freeze_k", DEFAULT_FREEZE[args.profile]),
+        **settings,
         loss=loss_cfg,
         augment=aug_cfg,
-        seed=pick(args.seed, "seed", 0),
-        checkpoint_every=pick(args.checkpoint_every, "checkpoint_every", 0),
         class_balance=not (args.no_balance or file_cfg.get("no_balance", False)),
     )
     records = parse_manifest(args.manifest)
@@ -148,7 +145,6 @@ def _cmd_train(args) -> int:
     _write_config(args.out, resolved)
 
     params = build_network(spec, seed=cfg.seed)
-    freeze_prefix(params, cfg.freeze_k)
     _, log, checkpoints = train(params, pairs, cfg, out_dir=args.out)
     log.write_csv(os.path.join(args.out, "trainlog.csv"))
     print(f"trained {cfg.epochs} epochs on {len(pairs)} pairs; "
@@ -193,13 +189,13 @@ def _cmd_gradcheck(args) -> int:
     c, h, w = spec.input_shape
     batch = [(Tensor(rng.random((c, h, w))), Tensor(rng.random((c, h, w))), y)
              for y in (1, 0, 1, 0)]
-    cfg = LossConfig(margin=0.5)
+    cfg = LossConfig()
 
     def loss_fn(g: Graph | None):
         return pair_batch_loss(params, batch, cfg, g).total_node
 
-    err = grad_check(loss_fn, params.tensors, eps=args.eps,
-                     max_coords_per_tensor=args.max_coords, seed=args.seed)
+    err = grad_check(loss_fn, params.tensors, max_coords_per_tensor=args.max_coords,
+                     seed=args.seed, **_given(args, ("eps",)))
     print(f"max relative error: {err:.3e} (tolerance {args.tol:.3e})")
     return 0 if err < args.tol else 1
 
@@ -209,20 +205,19 @@ def _cmd_ablate(args) -> int:
         grid = json.load(f)
     if not isinstance(grid, list):
         raise ValueError("grid file must contain a JSON list")
-    records = [r for r in parse_manifest(args.manifest) if r.split == "train"]
-    eval_records = [r for r in parse_manifest(args.manifest) if r.split in ("val", "test")]
-    if not eval_records:
-        eval_records = records
+    records = parse_manifest(args.manifest)
+    train_records = [r for r in records if r.split == "train"]
+    eval_records = [r for r in records if r.split in ("val", "test")] or train_records
     web = parse_manifest(args.web_manifest) if args.web_manifest else None
     spec = NetworkSpec.profile(args.profile)
-    base_cfg = TrainConfig(epochs=args.epochs, seed=args.seed,
+    base_cfg = TrainConfig(**_given(args, ("epochs", "seed")),
                            freeze_k=DEFAULT_FREEZE[args.profile])
     _write_config(args.out, {"command": "ablate", "grid": grid,
                              "manifest": args.manifest, "profile": args.profile,
-                             "protocol": args.protocol, "epochs": args.epochs,
-                             "seed": args.seed, "out": args.out})
-    rows = run_ablation(grid, records, eval_records, base_cfg, spec,
-                        out_dir=args.out, base_seed=args.seed, web_records=web,
+                             "protocol": args.protocol, "epochs": base_cfg.epochs,
+                             "seed": base_cfg.seed, "out": args.out})
+    rows = run_ablation(grid, train_records, eval_records, base_cfg, spec,
+                        out_dir=args.out, base_seed=base_cfg.seed, web_records=web,
                         protocol=args.protocol)
     for row in rows:
         status = row.error or f"best_acc={row.best_accuracy:.4f} gar={row.gar_at}"

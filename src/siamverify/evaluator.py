@@ -7,6 +7,7 @@ interpolation, so small-sample values are oracle-checkable.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import time
@@ -17,11 +18,11 @@ import numpy as np
 from . import losses
 from .dataset import PairRecord, generate_pairs, load_image, merge_weak_labels
 from .errors import ConfigError, DomainError
-from .network import (NetworkParams, build_network, forward_embedding, forward_head,
-                      freeze_prefix)
+from .network import NetworkParams, build_network, forward_embedding, forward_head
 from .trainer import TrainConfig, train
 
 DEFAULT_FAR_TARGETS = (0.001, 0.01, 0.1)
+SCORE_MODES = ("head", "cosine")
 
 
 @dataclass
@@ -62,7 +63,7 @@ def score_pairs(params: NetworkParams, pairs: list[PairRecord],
     Each distinct image is loaded and embedded once; the head or cosine then
     runs per pair on the stored embeddings.
     """
-    if mode not in ("head", "cosine"):
+    if mode not in SCORE_MODES:
         raise ConfigError(f"unknown scoring mode {mode!r}")
     if not pairs:
         raise ConfigError("no pairs to score")
@@ -137,14 +138,13 @@ def accuracy_at(s: ScoreSet, threshold: float) -> float:
     return float((np.sum(s.genuine >= threshold) + np.sum(s.impostor < threshold)) / total)
 
 
-def metrics_report(s: ScoreSet, mode: str,
-                   far_targets=DEFAULT_FAR_TARGETS) -> dict:
+def metrics_report(s: ScoreSet, mode: str) -> dict:
     acc, thr = best_accuracy(s)
     return {
         "mode": mode,
         "n_genuine": int(s.genuine.size),
         "n_impostor": int(s.impostor.size),
-        "gar_at": {str(ft): gar_at_far(s, ft)[0] for ft in far_targets},
+        "gar_at": {str(ft): gar_at_far(s, ft)[0] for ft in DEFAULT_FAR_TARGETS},
         "best_accuracy": acc,
         "best_threshold": thr,
         "acc_at_0.5": accuracy_at(s, 0.5),
@@ -164,8 +164,7 @@ class AblationRow:
 
 def run_ablation(grid: list[dict], train_records, eval_records, base_cfg: TrainConfig,
                  spec, out_dir=None, base_seed: int = 0, web_records=None,
-                 protocol: str = "overall", mode: str = "head",
-                 far_targets=DEFAULT_FAR_TARGETS) -> list[AblationRow]:
+                 protocol: str = "overall", mode: str = "head") -> list[AblationRow]:
     """Train/evaluate one model per grid entry and collect a report.
 
     Grid entries are dicts with optional keys ``label``, ``margin``,
@@ -188,13 +187,10 @@ def run_ablation(grid: list[dict], train_records, eval_records, base_cfg: TrainC
             if entry.get("use_web") and web_records:
                 records = merge_weak_labels(records, web_records)
             pairs = generate_pairs(records, protocol)
-            params = build_network(spec, seed=cfg.seed)
-            if cfg.freeze_k is not None:
-                freeze_prefix(params, cfg.freeze_k)
-            params, _, _ = train(params, pairs, cfg)
+            params, _, _ = train(build_network(spec, seed=cfg.seed), pairs, cfg)
             eval_pairs = generate_pairs(eval_records, protocol)
             scores = score_pairs(params, eval_pairs, mode=mode)
-            report = metrics_report(scores, mode, far_targets)
+            report = metrics_report(scores, mode)
             row.best_accuracy = report["best_accuracy"]
             row.best_threshold = report["best_threshold"]
             row.gar_at = report["gar_at"]
@@ -203,22 +199,23 @@ def run_ablation(grid: list[dict], train_records, eval_records, base_cfg: TrainC
         row.seconds = time.perf_counter() - t0
         rows.append(row)
     if out_dir is not None:
-        write_ablation_report(rows, out_dir, far_targets)
+        write_ablation_report(rows, out_dir)
     return rows
 
 
-def write_ablation_report(rows: list[AblationRow], out_dir, far_targets=DEFAULT_FAR_TARGETS):
+def write_ablation_report(rows: list[AblationRow], out_dir):
     os.makedirs(str(out_dir), exist_ok=True)
     csv_path = os.path.join(str(out_dir), "ablation.csv")
-    with open(csv_path, "w", encoding="utf-8") as f:
-        far_cols = ",".join(f"gar_at_{ft}" for ft in far_targets)
-        f.write(f"label,config,best_accuracy,{far_cols},error\n")
+    with open(csv_path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["label", "config", "best_accuracy"]
+                        + [f"gar_at_{ft}" for ft in DEFAULT_FAR_TARGETS] + ["error"])
         for r in rows:
-            gars = ",".join("" if str(ft) not in r.gar_at else f"{r.gar_at[str(ft)]:.12g}"
-                            for ft in far_targets)
+            gars = ["" if str(ft) not in r.gar_at else f"{r.gar_at[str(ft)]:.12g}"
+                    for ft in DEFAULT_FAR_TARGETS]
             acc = "" if r.best_accuracy is None else f"{r.best_accuracy:.12g}"
             cfg = json.dumps(r.config).replace('"', "'")
-            f.write(f'{r.label},"{cfg}",{acc},{gars},{r.error or ""}\n')
+            writer.writerow([r.label, cfg, acc] + gars + [r.error or ""])
     json_path = os.path.join(str(out_dir), "ablation.json")
     with open(json_path, "w", encoding="utf-8") as f:
         json.dump([r.__dict__ for r in rows], f, indent=2, default=str)

@@ -58,6 +58,7 @@ def _decode_pnm(raw: bytes) -> np.ndarray:
         raise FormatError("non-numeric PNM header field") from exc
     if maxval != 255:
         raise FormatError(f"only maxval 255 supported, got {maxval}")
+    _check_dims(channels, h, w)
     pos += 1  # single whitespace after maxval
     n = w * h * channels
     data = raw[pos:pos + n]
@@ -73,10 +74,16 @@ def _decode_f64(raw: bytes) -> np.ndarray:
     if len(raw) < 12:
         raise FormatError("truncated .f64 header")
     c, h, w = struct.unpack_from("<III", raw, 0)
+    _check_dims(c, h, w)
     n = c * h * w
     if len(raw) != 12 + 8 * n:
         raise FormatError("size mismatch in .f64 payload")
     return np.frombuffer(raw, dtype="<f8", count=n, offset=12).reshape(c, h, w).copy()
+
+
+def _check_dims(c: int, h: int, w: int) -> None:
+    if min(c, h, w) <= 0:
+        raise FormatError(f"image dimensions must be positive, got {c}x{h}x{w}")
 
 
 def write_pgm(path, img: np.ndarray) -> None:

@@ -1,13 +1,14 @@
 """Mini-batch SGD over verification pairs.
 
 Plain SGD, no momentum.  Class imbalance is handled by loss weighting (not
-resampling): each epoch attaches inverse-frequency weights computed from the
-epoch's pair labels.  The whole update path is single-threaded and
-deterministic for a fixed (seed, config, data) triple.
+resampling): inverse-frequency weights are computed once per run from the
+pair labels.  The whole update path is single-threaded and deterministic for
+a fixed (seed, config, data) triple.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -17,8 +18,8 @@ from . import losses, ops
 from .dataset import AugmentConfig, PairRecord, augment, load_image, pair_rng
 from .errors import ConfigError, NumericError
 from .losses import LossBreakdown, LossConfig, class_weights, total_loss
-from .network import NetworkParams, save_params, siamese_forward
-from .tensor import Graph, Tensor
+from .network import NetworkParams, freeze_prefix, save_params, siamese_forward
+from .tensor import Graph
 
 
 @dataclass
@@ -26,12 +27,12 @@ class TrainConfig:
     lr: float = 1e-3
     epochs: int = 10
     batch_size: int = 16
-    freeze_k: int | None = None  # None = profile default, applied by the caller
+    freeze_k: int | None = None  # None = keep the mask the parameters carry
     loss: LossConfig = field(default_factory=LossConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     seed: int = 0
     checkpoint_every: int = 0  # 0 = final checkpoint only
-    class_balance: bool = True
+    class_balance: bool = True  # False = use loss.w_pos / loss.w_neg as given
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -65,9 +66,8 @@ class TrainLog:
                         f"{r.l_total:.12g},{r.train_acc:.12g},{r.seconds:.6g}\n")
 
 
-def make_batches(pairs: list, batch_size: int, seed: int,
-                 balance: bool) -> tuple[list[list], tuple[float, float]]:
-    """Seeded shuffle into batches (last one may be partial) plus epoch weights.
+def make_batches(pairs: list, batch_size: int, seed: int) -> list[list]:
+    """Seeded shuffle into batches (last one may be partial).
 
     Batch elements are (original_index, pair) so augmentation streams stay
     tied to the pair, not its shuffled position.
@@ -77,13 +77,7 @@ def make_batches(pairs: list, batch_size: int, seed: int,
     indexed = list(enumerate(pairs))
     rng = np.random.default_rng(seed)
     rng.shuffle(indexed)
-    batches = [indexed[i:i + batch_size] for i in range(0, len(indexed), batch_size)]
-    weights = (1.0, 1.0)
-    if balance:
-        n_pos = sum(1 for p in pairs if p.y == 1)
-        n_neg = len(pairs) - n_pos
-        weights = class_weights(n_pos, n_neg)
-    return batches, weights
+    return [indexed[i:i + batch_size] for i in range(0, len(indexed), batch_size)]
 
 
 def sgd_step(params: NetworkParams, lr: float) -> None:
@@ -116,36 +110,36 @@ def pair_batch_loss(params: NetworkParams, batch: list, cfg: LossConfig,
     return total_loss(ops.stack(g, d_scalars), ops.stack(g, p_scalars), y, cfg, g)
 
 
-class _ImageCache:
-    """Per-run cache of decoded, resized base images keyed by record."""
-
-    def __init__(self, target):
-        self.target = target
-        self._cache = {}
-
-    def get(self, rec) -> Tensor:
-        key = (rec.identity, rec.path)
-        if key not in self._cache:
-            self._cache[key] = load_image(rec, self.target)
-        return self._cache[key]
-
-
 def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
           out_dir=None):
-    """Run the SGD loop; returns (params, TrainLog, checkpoint paths)."""
+    """Run the SGD loop; returns (params, TrainLog, checkpoint paths).
+
+    Applies ``cfg.freeze_k`` to ``params`` first, and, with ``class_balance``,
+    the pair list's inverse-frequency weights to ``cfg.loss``.
+    """
     if not pairs:
         raise ConfigError("no training pairs")
+    loss_cfg = cfg.loss
+    if cfg.class_balance and cfg.epochs:  # zero epochs: no loss, so no class check
+        n_pos = sum(1 for p in pairs if p.y == 1)
+        w_pos, w_neg = class_weights(n_pos, len(pairs) - n_pos)
+        loss_cfg = replace(cfg.loss, w_pos=w_pos, w_neg=w_neg)
+    if cfg.freeze_k is not None:
+        freeze_prefix(params, cfg.freeze_k)
     log = TrainLog()
     checkpoints = []
-    cache = _ImageCache(params.spec.input_shape)
+    images = {}
+
+    def image(rec):
+        key = (rec.identity, rec.path)
+        if key not in images:
+            images[key] = load_image(rec, params.spec.input_shape)
+        return images[key]
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         epoch_seed = int(np.random.SeedSequence((cfg.seed, epoch)).generate_state(1)[0])
-        batches, (w_pos, w_neg) = make_batches(
-            pairs, cfg.batch_size, epoch_seed, cfg.class_balance)
-        loss_cfg = replace(cfg.loss, w_pos=w_pos, w_neg=w_neg)
-
+        batches = make_batches(pairs, cfg.batch_size, epoch_seed)
         sums = np.zeros(4)
         n_correct = 0
         try:
@@ -153,8 +147,8 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
                 inputs = []
                 for idx, pair in batch:
                     rng = pair_rng(cfg.seed, epoch, idx)
-                    xa = augment(cache.get(pair.a), cfg.augment, rng)
-                    xb = augment(cache.get(pair.b), cfg.augment, rng)
+                    xa = augment(image(pair.a), cfg.augment, rng)
+                    xb = augment(image(pair.b), cfg.augment, rng)
                     inputs.append((xa, xb, pair.y))
                 g = Graph()
                 bd = pair_batch_loss(params, inputs, loss_cfg, g)
@@ -171,7 +165,7 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
         except NumericError:
             # abort training but keep the last good checkpoint
             if out_dir is not None and not checkpoints:
-                _checkpoint(params, out_dir, epoch, checkpoints)
+                _checkpoint(params, out_dir, "abort")
             raise
 
         n_pairs = len(pairs)
@@ -182,16 +176,14 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
                        seconds=time.perf_counter() - t0)
         log.rows.append(row)
         if out_dir is not None and cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
-            _checkpoint(params, out_dir, epoch, checkpoints)
+            checkpoints.append(_checkpoint(params, out_dir, epoch))
 
     if out_dir is not None:
-        _checkpoint(params, out_dir, "final", checkpoints)
+        checkpoints.append(_checkpoint(params, out_dir, "final"))
     return params, log, checkpoints
 
 
-def _checkpoint(params, out_dir, tag, checkpoints) -> None:
-    import os
-
+def _checkpoint(params, out_dir, tag) -> str:
     path = os.path.join(str(out_dir), f"checkpoint_{tag}.dgnet")
     save_params(params, path)
-    checkpoints.append(path)
+    return path

@@ -6,7 +6,11 @@ import os
 
 import pytest
 
+from siamverify import cli
 from siamverify.cli import main
+from siamverify.losses import LossConfig
+from siamverify.network import DEFAULT_FREEZE
+from siamverify.trainer import TrainConfig, TrainLog
 from corpus import build_corpus
 
 
@@ -154,3 +158,62 @@ class TestAblate:
         csv_lines = (out / "ablation.csv").read_text().strip().splitlines()
         assert csv_lines[0].startswith("label,config,best_accuracy,gar_at_")
         assert len(csv_lines) == 3
+
+    def test_error_text_with_comma_round_trips(self, corpus, tmp_path, capsys):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps([{"label": "too_wide", "margin": 2.0}]))
+        out = tmp_path / "abl"
+        assert main(["ablate", "--grid", str(grid_path), "--manifest", corpus[0],
+                     "--epochs", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        error = json.loads((out / "ablation.json").read_text())[0]["error"]
+        assert "," in error
+        header, *rows = list(csv.reader((out / "ablation.csv").open(newline="")))
+        assert header[-1] == "error" and len(rows) == 1
+        assert len(rows[0]) == len(header)
+        assert rows[0][0] == "too_wide" and rows[0][-1] == error
+
+
+class TestLibraryDefaults:
+    """Settings no flag gives come from the library's own defaults."""
+
+    def test_train_without_setting_flags(self, corpus, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def fake_train(params, pairs, cfg, out_dir=None):
+            seen.append(cfg)
+            return params, TrainLog(), []
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        out = tmp_path / "run"
+        assert main(["train", "--manifest", corpus[0], "--out", str(out)]) == 0
+        capsys.readouterr()
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        defaults = TrainConfig()
+        for key in ("lr", "epochs", "batch_size", "seed", "checkpoint_every"):
+            assert resolved[key] == getattr(defaults, key), key
+        assert resolved["margin"] == LossConfig().margin
+        assert resolved["freeze_k"] == DEFAULT_FREEZE["tiny"]
+        assert seen[0].freeze_k == DEFAULT_FREEZE["tiny"]
+
+    def test_ablate_without_setting_flags(self, corpus, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def fake_run_ablation(grid, train_records, eval_records, base_cfg, spec, **kw):
+            seen.append((base_cfg, kw["base_seed"]))
+            return []
+
+        monkeypatch.setattr(cli, "run_ablation", fake_run_ablation)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text("[]")
+        out = tmp_path / "abl"
+        assert main(["ablate", "--grid", str(grid_path), "--manifest", corpus[0],
+                     "--profile", "vggface16", "--out", str(out)]) == 0
+        capsys.readouterr()
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        defaults = TrainConfig()
+        assert (resolved["epochs"], resolved["seed"]) == (defaults.epochs, defaults.seed)
+        base_cfg, base_seed = seen[0]
+        assert (base_cfg.epochs, base_cfg.seed, base_seed) == \
+            (defaults.epochs, defaults.seed, defaults.seed)
+        assert base_cfg.freeze_k == DEFAULT_FREEZE["vggface16"]

@@ -1,6 +1,7 @@
 """Manifest parsing, image loading, pair protocols, augmentation, splitting."""
 
 import json
+import struct
 from itertools import combinations
 
 import numpy as np
@@ -12,7 +13,7 @@ from siamverify import (AugmentConfig, ImageRecord, augment, generate_pairs,
                         load_image, merge_weak_labels, parse_manifest,
                         split_validation)
 from siamverify.dataset import export_pairs_csv, pair_rng, PAIR_CSV_HEADER
-from siamverify.errors import ConfigError, DomainError, ManifestError
+from siamverify.errors import ConfigError, DomainError, FormatError, ManifestError
 from siamverify.images import write_f64, write_pgm, write_ppm
 from siamverify.tensor import Tensor
 
@@ -126,6 +127,20 @@ class TestLoadImage:
         write_ppm(path, img)
         out = load_image(rec(path=str(path)), (3, 4, 4))
         assert np.allclose(out.data, img, atol=1 / 255)
+
+    @pytest.mark.parametrize("dims", [b"-1 -1", b"-2 -3", b"0 4", b"4 0", b"0 0", b"-4 -1"])
+    def test_pnm_nonpositive_dimensions(self, tmp_path, dims):
+        path = tmp_path / "a.pgm"
+        path.write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(16))
+        with pytest.raises(FormatError, match="positive"):
+            load_image(rec(path=str(path)), (1, 4, 4))
+
+    @pytest.mark.parametrize("chw", [(0, 4, 4), (1, 0, 4), (1, 4, 0), (0, 0, 0)])
+    def test_f64_zero_dimensions(self, tmp_path, chw):
+        path = tmp_path / "a.f64"
+        path.write_bytes(struct.pack("<III", *chw))
+        with pytest.raises(FormatError, match="positive"):
+            load_image(rec(path=str(path)), (1, 4, 4))
 
 
 class TestMergeWeakLabels:

@@ -1,4 +1,5 @@
-"""Every import in the package modules is used (``__init__`` re-exports exempt)."""
+"""Every import in the package modules is used (``__init__`` re-exports exempt)
+and sits at module level, not inside a function body."""
 
 import ast
 import pathlib
@@ -22,6 +23,16 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return [(line, name) for line, name in bound if name not in used]
 
 
+def function_local_imports(source: str) -> list[int]:
+    """Lines of the import statements inside a function body."""
+    tree = ast.parse(source)
+    return sorted({node.lineno
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
 def test_detector_flags_unused_and_keeps_used():
     source = ("from __future__ import annotations\n"
               "import os\n"
@@ -35,3 +46,21 @@ def test_detector_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detector_flags_function_local_imports():
+    source = ("import os\n"
+              "def f():\n"
+              "    import json\n"
+              "    def g():\n"
+              "        from os import path\n"
+              "    return json, g\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        import sys\n")
+    assert function_local_imports(source) == [3, 5, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_function_local_imports(path):
+    assert function_local_imports(path.read_text(encoding="utf-8")) == []

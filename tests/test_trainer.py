@@ -41,28 +41,21 @@ class TestMakeBatches:
                         1 if i < 6 else 0, "overall") for i in range(10)]
 
     def test_partition_sizes(self):
-        batches, _ = make_batches(self.PAIRS, 4, seed=0, balance=False)
+        batches = make_batches(self.PAIRS, 4, seed=0)
         assert [len(b) for b in batches] == [4, 4, 2]
         flat = sorted(i for b in batches for i, _ in b)
         assert flat == list(range(10))
 
-    def test_epoch_weights(self):
-        # 6 positive / 4 negative pairs
-        _, weights = make_batches(self.PAIRS, 4, seed=0, balance=True)
-        assert weights == (10 / 12, 10 / 8)
-        _, unweighted = make_batches(self.PAIRS, 4, seed=0, balance=False)
-        assert unweighted == (1.0, 1.0)
-
     def test_seeded_shuffle(self):
-        a, _ = make_batches(self.PAIRS, 4, seed=1, balance=False)
-        b, _ = make_batches(self.PAIRS, 4, seed=1, balance=False)
-        c, _ = make_batches(self.PAIRS, 4, seed=2, balance=False)
+        a = make_batches(self.PAIRS, 4, seed=1)
+        b = make_batches(self.PAIRS, 4, seed=1)
+        c = make_batches(self.PAIRS, 4, seed=2)
         assert a == b
         assert a != c
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            make_batches([], 4, seed=0, balance=False)
+            make_batches([], 4, seed=0)
 
 
 class TestSgdStep:
@@ -232,7 +225,8 @@ class TestTrainLoop:
         out.mkdir()
         with pytest.raises(NumericError), np.errstate(all="ignore"):
             train(params, pairs, fast_cfg(epochs=1), out_dir=out)
-        assert (out / "checkpoint_0.dgnet").exists()
+        assert (out / "checkpoint_abort.dgnet").exists()
+        assert not (out / "checkpoint_0.dgnet").exists()
 
     def test_numeric_abort_checkpoint_is_last_completed_step(self, tmp_path, monkeypatch):
         from dataclasses import replace
@@ -257,10 +251,57 @@ class TestTrainLoop:
         out.mkdir()
         with pytest.raises(NumericError):
             train(params, pairs, fast_cfg(epochs=1, batch_size=2), out_dir=out)
-        saved = load_params(out / "checkpoint_0.dgnet", expect_spec=TINY)
+        saved = load_params(out / "checkpoint_abort.dgnet", expect_spec=TINY)
         assert len(calls) == 3
         assert not all(np.array_equal(a, b) for a, b in zip(after_step_2, initial))
         assert all(np.array_equal(t.data, b) for t, b in zip(saved.tensors, after_step_2))
+
+
+class TestTrainAppliesConfig:
+    def test_freeze_k_applied(self, tmp_path):
+        params = build_network(TINY, seed=0)
+        assert not any(params.freeze)
+        before = [t.data.copy() for t in params.tensors]
+        params, _, _ = train(params, make_pairs(tmp_path, 3, 3), fast_cfg(epochs=2, freeze_k=2))
+        assert params.freeze[:4] == [True] * 4 and not any(params.freeze[4:])
+        assert all(t.data.tobytes() == b.tobytes() for t, b in zip(params.tensors[:4], before))
+        assert not np.array_equal(params.tensors[4].data, before[4])
+
+    def test_freeze_k_none_keeps_mask(self, tmp_path):
+        params = freeze_prefix(build_network(TINY, seed=0), 1)
+        mask = list(params.freeze)
+        before = [t.data.copy() for t in params.tensors[:2]]
+        params, _, _ = train(params, make_pairs(tmp_path, 3, 3), fast_cfg(epochs=1))
+        assert params.freeze == mask
+        assert all(t.data.tobytes() == b.tobytes() for t, b in zip(params.tensors[:2], before))
+
+    def _loss_weights(self, tmp_path, monkeypatch, cfg):
+        from siamverify import trainer
+
+        real, seen = trainer.pair_batch_loss, []
+
+        def capture(params, batch, loss_cfg, g=None):
+            seen.append((loss_cfg.w_pos, loss_cfg.w_neg))
+            return real(params, batch, loss_cfg, g)
+
+        monkeypatch.setattr(trainer, "pair_batch_loss", capture)
+        train(build_network(TINY, seed=0), make_pairs(tmp_path, 6, 4), cfg)
+        return seen
+
+    def test_class_weights_every_epoch(self, tmp_path, monkeypatch):
+        # 6 positive / 4 negative pairs, 3 batches per epoch
+        seen = self._loss_weights(tmp_path, monkeypatch, fast_cfg(epochs=2))
+        assert seen == [(10 / 12, 10 / 8)] * 6
+
+    def test_given_weights_used_without_balance(self, tmp_path, monkeypatch):
+        cfg = fast_cfg(epochs=2, class_balance=False, loss=LossConfig(w_pos=3.0, w_neg=0.5))
+        seen = self._loss_weights(tmp_path, monkeypatch, cfg)
+        assert seen == [(3.0, 0.5)] * 6
+
+    def test_zero_epochs_single_class_raises_nothing(self, tmp_path):
+        _, log, _ = train(build_network(TINY, seed=0), make_pairs(tmp_path, 2, 0),
+                          fast_cfg(epochs=0))
+        assert log.rows == []
 
 
 class TestTrainConfig:
