@@ -14,14 +14,15 @@ import sys
 
 import numpy as np
 
-from .dataset import (PROTOCOLS, SPLITS, AugmentConfig, export_pairs_csv, generate_pairs,
-                      merge_weak_labels, parse_manifest)
+from .dataset import (PROTOCOLS, SPLITS, export_pairs_csv, generate_pairs, merge_weak_labels,
+                      parse_manifest)
 from .evaluator import SCORE_MODES, metrics_report, roc_curve, run_ablation, score_pairs
+from .errors import ConfigError
 from .gradcheck import grad_check
 from .losses import LossConfig
 from .network import DEFAULT_FREEZE, NetworkSpec, build_network, load_params
 from .tensor import Graph, Tensor
-from .trainer import TrainConfig, pair_batch_loss, train
+from .trainer import SETTINGS, TrainConfig, apply_settings, pair_batch_loss, settings_of, train
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,11 +43,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--freeze-k", type=int)
     p_train.add_argument("--checkpoint-every", type=int)
-    p_train.add_argument("--no-balance", action="store_true")
-    p_train.add_argument("--no-lr-loss", action="store_true")
-    p_train.add_argument("--no-bce-loss", action="store_true")
-    p_train.add_argument("--no-augment", action="store_true")
-    p_train.add_argument("--config", help="JSON config file; flags override it")
+    p_train.add_argument("--no-balance", dest="class_balance", action="store_false", default=None)
+    p_train.add_argument("--no-lr-loss", dest="enable_lr", action="store_false", default=None)
+    p_train.add_argument("--no-bce-loss", dest="enable_lbce", action="store_false", default=None)
+    p_train.add_argument("--no-augment", dest="augment", action="store_false", default=None)
+    p_train.add_argument("--config", help="JSON object of settings; flags override it")
 
     p_eval = sub.add_parser("eval", help="score pairs with a trained checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
@@ -85,14 +86,15 @@ def _file_config(path) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        config = json.load(f)
+    if not isinstance(config, dict):
+        raise ConfigError("--config must hold a JSON object")
+    return config
 
 
-def _given(args, keys, file_cfg=None) -> dict:
-    """The ``keys`` a flag or the config file sets (a flag wins); others keep their default."""
-    given = {k: file_cfg[k] for k in keys if k in (file_cfg or {})}
-    given.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
-    return given
+def _given(args, keys) -> dict:
+    """The ``keys`` a flag sets; the others keep their default."""
+    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
 
 def _write_config(out_dir, config: dict) -> None:
@@ -106,26 +108,9 @@ def _records_for_split(records, split):
 
 
 def _cmd_train(args) -> int:
-    file_cfg = _file_config(args.config)
     spec = NetworkSpec.profile(args.profile)
-    loss_cfg = LossConfig(
-        **_given(args, ("margin",), file_cfg),
-        enable_lr=not (args.no_lr_loss or file_cfg.get("no_lr_loss", False)),
-        enable_lbce=not (args.no_bce_loss or file_cfg.get("no_bce_loss", False)),
-    )
-    no_aug = args.no_augment or file_cfg.get("no_augment", False)
-    aug_cfg = (AugmentConfig(gaussian_sigma=0.0, flip_prob=0.0,
-                             max_rotation_deg=0.0, max_translate_px=0)
-               if no_aug else AugmentConfig())
-    settings = {"freeze_k": DEFAULT_FREEZE[args.profile]}
-    settings.update(_given(args, ("lr", "epochs", "batch_size", "freeze_k", "seed",
-                                  "checkpoint_every"), file_cfg))
-    cfg = TrainConfig(
-        **settings,
-        loss=loss_cfg,
-        augment=aug_cfg,
-        class_balance=not (args.no_balance or file_cfg.get("no_balance", False)),
-    )
+    cfg = apply_settings(TrainConfig(), {"freeze_k": DEFAULT_FREEZE[args.profile],
+                                         **_file_config(args.config), **_given(args, SETTINGS)})
     records = parse_manifest(args.manifest)
     records = [r for r in records if r.split == "train"]
     if args.web_manifest:
@@ -135,12 +120,7 @@ def _cmd_train(args) -> int:
     resolved = {
         "command": "train", "manifest": args.manifest, "web_manifest": args.web_manifest,
         "profile": args.profile, "protocol": args.protocol, "out": args.out,
-        "lr": cfg.lr, "epochs": cfg.epochs, "batch_size": cfg.batch_size,
-        "freeze_k": cfg.freeze_k, "seed": cfg.seed, "class_balance": cfg.class_balance,
-        "checkpoint_every": cfg.checkpoint_every,
-        "margin": cfg.loss.margin, "enable_lr": cfg.loss.enable_lr,
-        "enable_lbce": cfg.loss.enable_lbce, "augment": not no_aug,
-        "n_records": len(records), "n_pairs": len(pairs),
+        "n_records": len(records), "n_pairs": len(pairs), **settings_of(cfg),
     }
     _write_config(args.out, resolved)
 
@@ -210,15 +190,14 @@ def _cmd_ablate(args) -> int:
     eval_records = [r for r in records if r.split in ("val", "test")] or train_records
     web = parse_manifest(args.web_manifest) if args.web_manifest else None
     spec = NetworkSpec.profile(args.profile)
-    base_cfg = TrainConfig(**_given(args, ("epochs", "seed")),
-                           freeze_k=DEFAULT_FREEZE[args.profile])
+    base_cfg = apply_settings(TrainConfig(), {"freeze_k": DEFAULT_FREEZE[args.profile],
+                                              **_given(args, ("epochs", "seed"))})
     _write_config(args.out, {"command": "ablate", "grid": grid,
                              "manifest": args.manifest, "profile": args.profile,
-                             "protocol": args.protocol, "epochs": base_cfg.epochs,
-                             "seed": base_cfg.seed, "out": args.out})
+                             "protocol": args.protocol, "out": args.out,
+                             **settings_of(base_cfg)})
     rows = run_ablation(grid, train_records, eval_records, base_cfg, spec,
-                        out_dir=args.out, base_seed=base_cfg.seed, web_records=web,
-                        protocol=args.protocol)
+                        out_dir=args.out, web_records=web, protocol=args.protocol)
     for row in rows:
         status = row.error or f"best_acc={row.best_accuracy:.4f} gar={row.gar_at}"
         print(f"{row.label}: {status}")

@@ -66,23 +66,25 @@ def parse_manifest(path) -> list[ImageRecord]:
     """Parse a JSON-lines manifest; reports errors by line number."""
     records = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:  # json.loads reports a line that is not UTF-8
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ManifestError(f"line {lineno}: invalid JSON ({exc})") from exc
             records.append(_record_from_obj(obj, lineno, seen))
     return records
 
 
-def _record_from_obj(obj: dict, lineno: int, seen: set) -> ImageRecord:
+def _record_from_obj(obj, lineno: int, seen: set) -> ImageRecord:
+    if not isinstance(obj, dict):
+        raise ManifestError(f"line {lineno}: a record must be a JSON object")
     for field_name in ("identity", "path", "kind"):
-        if field_name not in obj:
-            raise ManifestError(f"line {lineno}: missing field {field_name!r}")
+        if not isinstance(obj.get(field_name), str):
+            raise ManifestError(f"line {lineno}: field {field_name!r} missing or not a string")
     kind = obj["kind"]
     source = obj.get("source", "dfw")
     split = obj.get("split", "train")
@@ -137,16 +139,14 @@ def merge_weak_labels(dfw: list[ImageRecord], web: list[ImageRecord]) -> list[Im
     return list(dfw) + [replace(r, source="web", kind="genuine") for r in web]
 
 
-def generate_pairs(records: list[ImageRecord], protocol: str,
-                   seed: int = 0, max_pairs: int | None = None) -> list[PairRecord]:
+def generate_pairs(records: list[ImageRecord], protocol: str) -> list[PairRecord]:
     """Enumerate verification pairs under one of the three protocols.
 
     Within each identity: impersonation pairs each genuine image with each
     impostor (y=0); obfuscation pairs each genuine with each disguised (y=1);
     overall takes every unordered pair among the identity's images except
     impostor-impostor (whose ground truth is undefined).  Output order is
-    deterministic (identity, then path); the seed only drives optional
-    subsampling.
+    deterministic (identity, then path).
     """
     if protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}")
@@ -167,10 +167,6 @@ def generate_pairs(records: list[ImageRecord], protocol: str,
             true_id = genuine + disguised
             pairs.extend(PairRecord(a, b, 1, protocol) for a, b in combinations(true_id, 2))
             pairs.extend(PairRecord(a, b, 0, protocol) for a in true_id for b in impostor)
-    if max_pairs is not None and len(pairs) > max_pairs:
-        rng = np.random.default_rng(seed)
-        keep = sorted(rng.choice(len(pairs), size=max_pairs, replace=False))
-        pairs = [pairs[i] for i in keep]
     return pairs
 
 

@@ -19,7 +19,7 @@ from . import losses
 from .dataset import PairRecord, generate_pairs, load_image, merge_weak_labels
 from .errors import ConfigError, DomainError
 from .network import NetworkParams, build_network, forward_embedding, forward_head
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, apply_settings, train
 
 DEFAULT_FAR_TARGETS = (0.001, 0.01, 0.1)
 SCORE_MODES = ("head", "cosine")
@@ -163,14 +163,14 @@ class AblationRow:
 
 
 def run_ablation(grid: list[dict], train_records, eval_records, base_cfg: TrainConfig,
-                 spec, out_dir=None, base_seed: int = 0, web_records=None,
-                 protocol: str = "overall", mode: str = "head") -> list[AblationRow]:
-    """Train/evaluate one model per grid entry and collect a report.
+                 spec, out_dir=None, web_records=None,
+                 protocol: str = "overall") -> list[AblationRow]:
+    """Train/evaluate one model per grid entry and score it with the head.
 
-    Grid entries are dicts with optional keys ``label``, ``margin``,
-    ``enable_lr``, ``enable_lbce``, ``use_web`` (adds the weakly labelled
-    records to the training set).  Each run is seeded base_seed + index;
-    failures are recorded in the row and the grid continues.
+    An entry may set ``label``, ``use_web`` (add the weakly labelled records
+    to the training set) and any of ``trainer.SETTINGS``, applied over
+    ``base_cfg`` seeded ``base_cfg.seed + index``.  A failure, such as an
+    unknown key, is recorded in the row and the grid continues.
     """
     rows = []
     for idx, entry in enumerate(grid):
@@ -178,19 +178,15 @@ def run_ablation(grid: list[dict], train_records, eval_records, base_cfg: TrainC
         row = AblationRow(label=label, config=dict(entry))
         t0 = time.perf_counter()
         try:
-            loss_cfg = replace(base_cfg.loss,
-                               margin=entry.get("margin", base_cfg.loss.margin),
-                               enable_lr=entry.get("enable_lr", base_cfg.loss.enable_lr),
-                               enable_lbce=entry.get("enable_lbce", base_cfg.loss.enable_lbce))
-            cfg = replace(base_cfg, loss=loss_cfg, seed=base_seed + idx)
+            settings = {k: v for k, v in entry.items() if k not in ("label", "use_web")}
+            cfg = apply_settings(replace(base_cfg, seed=base_cfg.seed + idx), settings)
             records = list(train_records)
             if entry.get("use_web") and web_records:
                 records = merge_weak_labels(records, web_records)
             pairs = generate_pairs(records, protocol)
             params, _, _ = train(build_network(spec, seed=cfg.seed), pairs, cfg)
             eval_pairs = generate_pairs(eval_records, protocol)
-            scores = score_pairs(params, eval_pairs, mode=mode)
-            report = metrics_report(scores, mode)
+            report = metrics_report(score_pairs(params, eval_pairs), "head")
             row.best_accuracy = report["best_accuracy"]
             row.best_threshold = report["best_threshold"]
             row.gar_at = report["gar_at"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -36,6 +37,11 @@ class NetworkSpec:
     name: str = "custom"
 
     def __post_init__(self):
+        dims = [*self.input_shape, *self.fc, *self.head, *(d for s in self.stages for d in s)]
+        if (len(self.input_shape) != 3 or any(len(s) != 2 for s in self.stages)
+                or not all(type(d) is int and d > 0 for d in dims)):  # bool is no size
+            raise ConfigError("input (C, H, W), stage (out_channels, n_convs), fc and head "
+                              f"sizes must be positive ints, got {self!r}")
         if not self.stages:
             raise ConfigError("conv stage list must be nonempty")
         if len(self.fc) != 2 or self.fc[1] < 2:
@@ -257,7 +263,7 @@ def load_params(path, expect_spec: NetworkSpec | None = None) -> NetworkParams:
     off += 8
     try:
         header = json.loads(raw[off:off + blob_len])
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError("corrupt checkpoint header") from exc
     off += blob_len
     if (not isinstance(header, dict) or not isinstance(header.get("spec"), dict)
@@ -272,13 +278,15 @@ def load_params(path, expect_spec: NetworkSpec | None = None) -> NetworkParams:
     if expect_spec is not None and expect_spec.fingerprint() != header["fingerprint"]:
         raise FormatError(
             f"checkpoint built for spec {spec.name!r}, expected {expect_spec.name!r}")
+    if 16 * spec.weighted_layer_count > len(raw) - off:  # 2 float64s a layer, at least
+        raise FormatError("truncated checkpoint payload")
     tensors = []
     for _, w_shape, b_shape in spec.layer_shapes():
         for shape in (w_shape, b_shape):
-            n = int(np.prod(shape)) * 8
+            n = math.prod(shape) * 8  # a Python int: no int64 wrap on a huge spec
             if off + n > len(raw):
                 raise FormatError("truncated checkpoint payload")
-            tensors.append(Tensor(np.frombuffer(raw, dtype="<f8", count=int(np.prod(shape)),
+            tensors.append(Tensor(np.frombuffer(raw, dtype="<f8", count=n // 8,
                                                 offset=off).reshape(shape).copy()))
             off += n
     if off != len(raw):

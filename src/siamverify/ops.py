@@ -1,9 +1,9 @@
 """Forward primitives with recorded backward closures.
 
-Every op takes the tape as its first argument; pass ``g=None`` for a pure
-forward evaluation (used by finite differencing and scoring).  Elementwise
-binary ops accept equal shapes or a scalar on either side; no general
-broadcasting.
+Every op takes the tape as its first argument, then ``Tensor`` operands;
+pass ``g=None`` for a pure forward evaluation (used by finite differencing
+and scoring).  Elementwise binary ops accept equal shapes or a scalar on
+either side; no general broadcasting.
 
 Convolution uses the cross-correlation convention (no kernel flip), matching
 mainstream CNN practice.
@@ -23,10 +23,6 @@ def _rec(g: Graph | None, out: Tensor, inputs, backward_fn, pattern=None) -> Ten
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _binary_shapes(a: Tensor, b: Tensor):
     if a.shape != b.shape and a.shape != () and b.shape != ():
         raise ShapeError(f"elementwise op on shapes {a.shape} and {b.shape}")
@@ -40,7 +36,6 @@ def _reduce_to(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def add(g, a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes(a, b)
     out = Tensor(a.data + b.data)
     return _rec(g, out, (a, b),
@@ -48,7 +43,6 @@ def add(g, a, b) -> Tensor:
 
 
 def sub(g, a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes(a, b)
     out = Tensor(a.data - b.data)
     return _rec(g, out, (a, b),
@@ -56,7 +50,6 @@ def sub(g, a, b) -> Tensor:
 
 
 def mul(g, a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes(a, b)
     out = Tensor(a.data * b.data)
     return _rec(g, out, (a, b),
@@ -65,7 +58,6 @@ def mul(g, a, b) -> Tensor:
 
 
 def div(g, a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes(a, b)
     out = Tensor(a.data / b.data)
     return _rec(g, out, (a, b),
@@ -74,20 +66,17 @@ def div(g, a, b) -> Tensor:
 
 
 def neg(g, a) -> Tensor:
-    a = _as_tensor(a)
     out = Tensor(-a.data)
     return _rec(g, out, (a,), lambda go: (-go,))
 
 
 def relu(g, a) -> Tensor:
-    a = _as_tensor(a)
     mask = a.data > 0  # subgradient 0 at the kink
     out = Tensor(np.where(mask, a.data, 0.0))
     return _rec(g, out, (a,), lambda go: (go * mask,), mask)
 
 
 def sigmoid(g, a) -> Tensor:
-    a = _as_tensor(a)
     x = a.data
     s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                  np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
@@ -96,27 +85,23 @@ def sigmoid(g, a) -> Tensor:
 
 
 def log(g, a) -> Tensor:
-    a = _as_tensor(a)
     out = Tensor(np.log(a.data))
     return _rec(g, out, (a,), lambda go: (go / a.data,))
 
 
 def sqrt(g, a) -> Tensor:
-    a = _as_tensor(a)
     r = np.sqrt(a.data)
     out = Tensor(r)
     return _rec(g, out, (a,), lambda go: (go / (2.0 * r),))
 
 
 def absolute(g, a) -> Tensor:
-    a = _as_tensor(a)
     sign = np.sign(a.data)  # subgradient 0 at 0
     out = Tensor(np.abs(a.data))
     return _rec(g, out, (a,), lambda go: (go * sign,), sign)
 
 
 def clamp(g, a, lo: float, hi: float) -> Tensor:
-    a = _as_tensor(a)
     inside = (a.data > lo) & (a.data < hi)
     out = Tensor(np.clip(a.data, lo, hi))
     return _rec(g, out, (a,), lambda go: (go * inside,), inside)
@@ -124,30 +109,26 @@ def clamp(g, a, lo: float, hi: float) -> Tensor:
 
 def tsum(g, a) -> Tensor:
     """Sum of all elements, returning a scalar tensor."""
-    a = _as_tensor(a)
     out = Tensor(a.data.sum())
     return _rec(g, out, (a,), lambda go: (np.full(a.shape, float(go)),))
 
 
 def reshape(g, a, shape) -> Tensor:
-    a = _as_tensor(a)
     out = Tensor(a.data.reshape(shape))
     return _rec(g, out, (a,), lambda go: (go.reshape(a.shape),))
 
 
 def stack(g, scalars) -> Tensor:
     """Stack scalar tensors into a 1-D vector."""
-    ts = [_as_tensor(s) for s in scalars]
-    for t in ts:
+    for t in scalars:
         if t.shape != ():
             raise ShapeError(f"stack expects scalars, got shape {t.shape}")
-    out = Tensor(np.array([t.data for t in ts]))
-    return _rec(g, out, tuple(ts), lambda go: tuple(np.asarray(go[i]) for i in range(len(ts))))
+    out = Tensor(np.array([t.data for t in scalars]))
+    return _rec(g, out, tuple(scalars), lambda go: tuple(np.asarray(v) for v in go))
 
 
 def linear(g, x, w, b) -> Tensor:
     """Affine map w @ x + b for a flat input vector."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.data.ndim != 1 or w.data.ndim != 2:
         raise ShapeError(f"linear expects 1-D input and 2-D weight, got {x.shape}, {w.shape}")
     if w.shape[1] != x.shape[0] or b.shape != (w.shape[0],):
@@ -181,7 +162,6 @@ def _col2im(cols: np.ndarray, c: int, hp: int, wp: int,
 
 def conv2d(g, x, kernels, bias, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation over a CHW input; zero padding."""
-    x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     if x.data.ndim != 3 or kernels.data.ndim != 4:
         raise ShapeError(f"conv2d expects CHW input and OIHW kernels, got {x.shape}, {kernels.shape}")
     cin, h, w = x.shape
@@ -214,7 +194,6 @@ def conv2d(g, x, kernels, bias, stride: int = 1, pad: int = 0) -> Tensor:
 
 def maxpool2(g, x) -> Tensor:
     """2x2 max pooling with stride 2; spatial extents must be even."""
-    x = _as_tensor(x)
     if x.data.ndim != 3:
         raise ShapeError(f"maxpool2 expects CHW input, got {x.shape}")
     c, h, w = x.shape

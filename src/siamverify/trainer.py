@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,6 +41,47 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.checkpoint_every < 0:
+            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+
+
+# Every run setting under the one name that --config files, ablation grid entries
+# and resolved_config.json use, with the JSON type its value must have.
+SETTINGS = {"lr": float, "epochs": int, "batch_size": int, "freeze_k": int, "seed": int,
+            "checkpoint_every": int, "class_balance": bool, "augment": bool,
+            "margin": float, "enable_lr": bool, "enable_lbce": bool}
+NO_AUGMENT = AugmentConfig(gaussian_sigma=0.0, flip_prob=0.0, max_rotation_deg=0.0,
+                           max_translate_px=0)
+_LOSS_FIELDS = {f.name for f in fields(LossConfig)}
+
+
+def apply_settings(cfg: TrainConfig, settings: dict) -> TrainConfig:
+    """``cfg`` with a flat dict of ``SETTINGS`` applied; any other key is an error.
+
+    ``augment: true`` keeps ``cfg``'s augmentation, or the default if it is off.
+    """
+    for key, value in settings.items():
+        if key not in SETTINGS:
+            raise ConfigError(f"unknown setting {key!r}; settings are {', '.join(SETTINGS)}")
+        kind = SETTINGS[key]
+        number = (int, float) if kind is float else kind
+        # bool is an int subclass, but true/false is no number and only they are bools
+        if (isinstance(value, bool) != (kind is bool) or not isinstance(value, number)) \
+                and not (key == "freeze_k" and value is None):
+            raise ConfigError(f"setting {key!r} must be {kind.__name__}, got {value!r}")
+    top = {k: v for k, v in settings.items() if k not in _LOSS_FIELDS}
+    if "augment" in top:
+        on = cfg.augment if cfg.augment != NO_AUGMENT else AugmentConfig()
+        top["augment"] = on if top["augment"] else NO_AUGMENT
+    loss = replace(cfg.loss, **{k: v for k, v in settings.items() if k in _LOSS_FIELDS})
+    return replace(cfg, **top, loss=loss)
+
+
+def settings_of(cfg: TrainConfig) -> dict:
+    """The ``SETTINGS`` of ``cfg``, as ``apply_settings`` takes them."""
+    settings = {k: getattr(cfg.loss if k in _LOSS_FIELDS else cfg, k) for k in SETTINGS}
+    settings["augment"] = cfg.augment != NO_AUGMENT
+    return settings
 
 
 @dataclass

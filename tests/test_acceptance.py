@@ -289,7 +289,7 @@ def test_acceptance_6_ablation_harness(corpus_manifest, tmp_path):
                                seed=0, freeze_k=1)
         out = tmp_path / "ablation"
         rows = run_ablation(grid, train_records, val_records, base_cfg, TINY,
-                            out_dir=out, base_seed=0, web_records=web_records)
+                            out_dir=out, web_records=web_records)
         assert len(rows) == 8
         assert [r.label for r in rows] == [e["label"] for e in grid]
         for r in rows:

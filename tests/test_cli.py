@@ -1,5 +1,6 @@
 """End-to-end CLI contract: exit codes, emitted files, train/eval round trip."""
 
+import argparse
 import csv
 import json
 import os
@@ -10,7 +11,8 @@ from siamverify import cli
 from siamverify.cli import main
 from siamverify.losses import LossConfig
 from siamverify.network import DEFAULT_FREEZE
-from siamverify.trainer import TrainConfig, TrainLog
+from siamverify.trainer import (NO_AUGMENT, SETTINGS, TrainConfig, TrainLog,
+                                apply_settings, settings_of)
 from corpus import build_corpus
 
 
@@ -129,7 +131,7 @@ class TestTrainEvalRoundTrip:
     def test_config_file_with_flag_override(self, corpus, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"epochs": 1, "lr": 0.01, "seed": 9,
-                                        "no_augment": True}))
+                                        "augment": False}))
         out = tmp_path / "run2"
         rc = main(["train", "--manifest", corpus[0], "--out", str(out),
                    "--config", str(cfg_path), "--seed", "4", "--batch-size", "4"])
@@ -200,7 +202,7 @@ class TestLibraryDefaults:
         seen = []
 
         def fake_run_ablation(grid, train_records, eval_records, base_cfg, spec, **kw):
-            seen.append((base_cfg, kw["base_seed"]))
+            seen.append(base_cfg)
             return []
 
         monkeypatch.setattr(cli, "run_ablation", fake_run_ablation)
@@ -213,7 +215,103 @@ class TestLibraryDefaults:
         resolved = json.loads((out / "resolved_config.json").read_text())
         defaults = TrainConfig()
         assert (resolved["epochs"], resolved["seed"]) == (defaults.epochs, defaults.seed)
-        base_cfg, base_seed = seen[0]
-        assert (base_cfg.epochs, base_cfg.seed, base_seed) == \
-            (defaults.epochs, defaults.seed, defaults.seed)
+        base_cfg = seen[0]
+        assert (base_cfg.epochs, base_cfg.seed) == (defaults.epochs, defaults.seed)
         assert base_cfg.freeze_k == DEFAULT_FREEZE["vggface16"]
+
+
+def _capture_train(monkeypatch):
+    seen = []
+
+    def fake_train(params, pairs, cfg, out_dir=None):
+        seen.append(cfg)
+        return params, TrainLog(), []
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    return seen
+
+
+class TestSettings:
+    """``--config``, the train flags and ``resolved_config.json`` share one spelling."""
+
+    @pytest.mark.parametrize("config,needle", [
+        ({"epoch": 1, "batchsize": 4}, "'epoch'"),
+        ({"no_augment": True}, "'no_augment'"),
+        ({"enable_lr": "false"}, "'enable_lr'"),
+        ({"augment": 0}, "'augment'"),
+        ({"epochs": "3"}, "'epochs'"),
+        ([{"epochs": 1}], "JSON object"),
+    ], ids=["typo", "old-key", "string-bool", "int-bool", "string-int", "list"])
+    def test_bad_config_exits_1_naming_it(self, corpus, tmp_path, monkeypatch, capsys,
+                                          config, needle):
+        seen = _capture_train(monkeypatch)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["train", "--manifest", corpus[0], "--out", str(tmp_path / "run"),
+                     "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and needle in err
+        assert seen == []
+
+    def test_config_switches_reach_train_config(self, corpus, tmp_path, monkeypatch, capsys):
+        seen = _capture_train(monkeypatch)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"enable_lr": False, "augment": False,
+                                        "class_balance": False}))
+        assert main(["train", "--manifest", corpus[0], "--out", str(tmp_path / "run"),
+                     "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        cfg = seen[0]
+        assert cfg.loss.enable_lr is False and cfg.loss.enable_lbce is True
+        assert cfg.augment == NO_AUGMENT and cfg.class_balance is False
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--no-lr-loss", "--no-augment", "--no-balance"],
+        ["--no-bce-loss", "--margin", "0.3", "--lr", "0.01", "--epochs", "2",
+         "--batch-size", "4", "--seed", "5", "--freeze-k", "2", "--checkpoint-every", "1"],
+    ], ids=["defaults", "switches-off", "numbers"])
+    def test_resolved_config_replays_to_the_same_config(self, corpus, tmp_path, monkeypatch,
+                                                        capsys, flags):
+        seen = _capture_train(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["train", "--manifest", corpus[0], "--out", str(out)] + flags) == 0
+        capsys.readouterr()
+        cfg = seen[0]
+        assert apply_settings(TrainConfig(), settings_of(cfg)) == cfg
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        replay = {k: resolved[k] for k in SETTINGS}
+        assert replay == settings_of(cfg)
+        cfg_path = tmp_path / "replay.json"
+        cfg_path.write_text(json.dumps(replay))
+        assert main(["train", "--manifest", corpus[0], "--out", str(tmp_path / "again"),
+                     "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert seen[1] == cfg
+
+    def test_train_setting_flags_are_the_settings(self):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["train"]._actions}
+        other = {"help", "manifest", "web_manifest", "profile", "out", "protocol", "config"}
+        assert dests - other == set(SETTINGS)
+
+    def test_ablate_resolved_config_holds_every_setting(self, corpus, tmp_path, monkeypatch,
+                                                        capsys):
+        seen = []
+
+        def fake_run_ablation(grid, train_records, eval_records, base_cfg, spec, **kw):
+            seen.append(base_cfg)
+            return []
+
+        monkeypatch.setattr(cli, "run_ablation", fake_run_ablation)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text("[]")
+        out = tmp_path / "abl"
+        assert main(["ablate", "--grid", str(grid_path), "--manifest", corpus[0],
+                     "--epochs", "3", "--seed", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert {k: resolved[k] for k in SETTINGS} == settings_of(seen[0])
+        assert (resolved["epochs"], resolved["seed"], resolved["freeze_k"]) == \
+            (3, 2, DEFAULT_FREEZE["tiny"])

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siamverify import (NetworkSpec, ScoreSet, accuracy_at, best_accuracy,
-                        build_network, gar_at_far, metrics_report, roc_curve,
-                        score_pairs)
+from siamverify import (NetworkSpec, ScoreSet, TrainConfig, TrainLog, accuracy_at,
+                        best_accuracy, build_network, gar_at_far, metrics_report,
+                        roc_curve, run_ablation, score_pairs)
+from siamverify import evaluator
 from siamverify.dataset import ImageRecord, PairRecord
 from siamverify.errors import ConfigError, DomainError
 
@@ -268,3 +269,39 @@ class TestMetricsReport:
         assert set(report["gar_at"]) == {"0.001", "0.01", "0.1"}
         assert report["best_accuracy"] == 0.875
         assert report["acc_at_0.5"] == 0.75
+
+
+class TestRunAblation:
+    """Grid entries are ``label``/``use_web`` plus settings, read by ``apply_settings``."""
+
+    RECORDS = [ImageRecord("id01", "g.pgm", "genuine"), ImageRecord("id01", "d.pgm", "disguised"),
+               ImageRecord("id01", "i.pgm", "impostor")]
+
+    def _run(self, monkeypatch, grid, base_cfg):
+        seen = []
+
+        def fake_train(params, pairs, cfg, out_dir=None):
+            seen.append(cfg)
+            return params, TrainLog(), []
+
+        monkeypatch.setattr(evaluator, "train", fake_train)
+        monkeypatch.setattr(evaluator, "score_pairs", lambda params, pairs: EXAMPLE)
+        rows = run_ablation(grid, self.RECORDS, self.RECORDS, base_cfg, NetworkSpec.tiny())
+        return rows, seen
+
+    def test_seeds_follow_base_cfg(self, monkeypatch):
+        _, seen = self._run(monkeypatch, [{}, {"label": "b"}], TrainConfig(seed=5))
+        assert [cfg.seed for cfg in seen] == [5, 6]
+
+    def test_unknown_key_is_that_rows_error(self, monkeypatch):
+        rows, seen = self._run(monkeypatch, [{"label": "typo", "enable_bce": False},
+                                             {"label": "ok"}], TrainConfig())
+        assert rows[0].error.startswith("ConfigError") and "'enable_bce'" in rows[0].error
+        assert rows[1].error is None and rows[1].best_accuracy == 0.875
+        assert len(seen) == 1 and seen[0].loss.enable_lbce is True
+
+    def test_entry_settings_apply(self, monkeypatch):
+        rows, seen = self._run(monkeypatch, [{"label": "fast", "lr": 0.5, "use_web": False,
+                                              "enable_lr": False}], TrainConfig(lr=1e-3))
+        assert rows[0].error is None
+        assert seen[0].lr == 0.5 and seen[0].loss.enable_lr is False

@@ -1,5 +1,8 @@
 """Topology, initialization, tied-weight forward, and checkpoint round trips."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,23 @@ class TestSpec:
             NetworkSpec((1, 32, 32), ((8, 1),), (64, 32), (16, 2))
         with pytest.raises(ConfigError):
             NetworkSpec((1, 30, 30), ((8, 1), (16, 1)), (64, 32), (1,))
+
+    @pytest.mark.parametrize("input_shape,stages,fc,head", [
+        ((1, 32, 32), ((8, 0),), (64, 32), (1,)),
+        ((1, 32, 32), ((-8, 2),), (64, 32), (1,)),
+        ((1, 32, 32), ((8, "2"),), (64, 32), (1,)),
+        ((1, 32, 32), ((8, 2.5),), (64, 32), (1,)),
+        ((1, 32, 32), ((8,),), (64, 32), (1,)),
+        ((1, 32, 32), ((8, True),), (64, 32), (1,)),
+        ((0, 32, 32), ((8, 1),), (64, 32), (1,)),
+        ((1, 32), ((8, 1),), (64, 32), (1,)),
+        ((1, 32, 32), ((8, 1),), (0, 32), (1,)),
+        ((1, 32, 32), ((8, 1),), (64, 32), (0, 1)),
+    ], ids=["zero-convs", "negative-channels", "string", "float", "short-stage", "bool",
+            "zero-channels", "2d-input", "zero-fc", "zero-head"])
+    def test_sizes_must_be_positive_ints(self, input_shape, stages, fc, head):
+        with pytest.raises(ConfigError, match="positive ints"):
+            NetworkSpec(input_shape, stages, fc, head)
 
     def test_dict_roundtrip_and_fingerprint(self):
         again = NetworkSpec.from_dict(TINY.to_dict())
@@ -279,6 +299,32 @@ class TestCheckpointHeader:
         params = load_params(_with_header(
             tmp_path, lambda h: {k: v for k, v in h.items() if k != "seed"}), expect_spec=TINY)
         assert params.seed == 0
+
+    @pytest.mark.parametrize("stages,input_shape", [
+        ([[8, "2"]], [1, 32, 32]), ([[8, 2.5]], [1, 32, 32]), ([[8]], [1, 32, 32]),
+        ([[-8, 2]], [1, 32, 32]), ([[8, 0]], [1, 32, 32]),
+        # 2**33 * 2**31 * 3 * 3 elements wrap to 0 in int64
+        ([[2 ** 33, 1]], [2 ** 31, 2, 2]),
+        # 2**40 conv layers: rejected from the payload size, not by listing them
+        ([[8, 2 ** 40]], [1, 32, 32]),
+    ], ids=["string", "float", "short", "negative", "zero", "int64-wrap", "huge-layer-count"])
+    def test_malformed_topology_is_format_error(self, tmp_path, stages, input_shape):
+        def mutate(h):
+            spec = {**h["spec"], "stages": stages, "input_shape": input_shape}
+            blob = json.dumps(spec, sort_keys=True).encode()
+            return {**h, "spec": spec, "fingerprint": hashlib.sha256(blob).hexdigest()}
+
+        with pytest.raises(FormatError):
+            load_params(_with_header(tmp_path, mutate))
+
+    def test_deeply_nested_header_is_format_error(self, tmp_path):
+        import struct
+
+        blob = b"[" * 100000
+        path = tmp_path / "deep.dgnet"
+        path.write_bytes(b"DGNETv1" + struct.pack("<II", 1, len(blob)) + blob)
+        with pytest.raises(FormatError):
+            load_params(path)
 
     def test_valid_mask_loads(self, tmp_path):
         mask = [True] * 2 + [False] * 14

@@ -6,7 +6,7 @@ import pytest
 from siamverify import (AugmentConfig, Graph, LossConfig, NetworkSpec, TrainConfig,
                         Tensor, build_network, freeze_prefix, load_params,
                         make_batches, sgd_step, train)
-from siamverify.trainer import pair_batch_loss
+from siamverify.trainer import NO_AUGMENT, apply_settings, pair_batch_loss, settings_of
 from siamverify.dataset import ImageRecord, PairRecord
 from siamverify.errors import ConfigError, NumericError
 from siamverify.images import write_pgm
@@ -312,3 +312,39 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=-1)
+
+    def test_negative_checkpoint_every(self):
+        with pytest.raises(ConfigError, match="checkpoint_every"):
+            TrainConfig(checkpoint_every=-1)
+        assert TrainConfig(checkpoint_every=0).checkpoint_every == 0
+
+
+class TestSettings:
+    def test_apply_then_report_round_trips(self):
+        settings = {"lr": 0.01, "epochs": 3, "batch_size": 2, "freeze_k": None, "seed": 4,
+                    "checkpoint_every": 1, "class_balance": False, "augment": False,
+                    "margin": 0.3, "enable_lr": False, "enable_lbce": False}
+        cfg = apply_settings(TrainConfig(), settings)
+        assert settings_of(cfg) == settings
+        assert cfg.augment == NO_AUGMENT and cfg.loss.margin == 0.3
+
+    def test_empty_settings_keep_the_config(self):
+        cfg = fast_cfg(loss=LossConfig(w_pos=2.0))
+        assert apply_settings(cfg, {}) == cfg
+
+    def test_augment_true_keeps_the_configs_augmentation(self):
+        custom = AugmentConfig(gaussian_sigma=0.01, flip_prob=0.0)
+        assert apply_settings(fast_cfg(augment=custom), {"augment": True}).augment == custom
+        assert apply_settings(fast_cfg(augment=NO_AUG), {"augment": True}).augment == \
+            AugmentConfig()
+
+    @pytest.mark.parametrize("settings,needle", [
+        ({"epoch": 2}, "'epoch'"), ({"w_pos": 2.0}, "'w_pos'"), ({"loss": None}, "'loss'"),
+        ({"enable_lr": "false"}, "'enable_lr'"), ({"augment": 1}, "'augment'"),
+        ({"epochs": True}, "'epochs'"), ({"epochs": 2.0}, "'epochs'"),
+        ({"lr": "0.1"}, "'lr'"), ({"freeze_k": 1.0}, "'freeze_k'"),
+        ({"margin": 2.0}, "margin"),
+    ])
+    def test_rejected(self, settings, needle):
+        with pytest.raises(ConfigError, match=needle):
+            apply_settings(TrainConfig(), settings)
