@@ -192,8 +192,8 @@ def _cmd_ablate(args) -> int:
     spec = NetworkSpec.profile(args.profile)
     base_cfg = apply_settings(TrainConfig(), {"freeze_k": DEFAULT_FREEZE[args.profile],
                                               **_given(args, ("epochs", "seed"))})
-    _write_config(args.out, {"command": "ablate", "grid": grid,
-                             "manifest": args.manifest, "profile": args.profile,
+    _write_config(args.out, {"command": "ablate", "grid": grid, "manifest": args.manifest,
+                             "web_manifest": args.web_manifest, "profile": args.profile,
                              "protocol": args.protocol, "out": args.out,
                              **settings_of(base_cfg)})
     rows = run_ablation(grid, train_records, eval_records, base_cfg, spec,

@@ -167,10 +167,11 @@ def run_ablation(grid: list[dict], train_records, eval_records, base_cfg: TrainC
                  protocol: str = "overall") -> list[AblationRow]:
     """Train/evaluate one model per grid entry and score it with the head.
 
-    An entry may set ``label``, ``use_web`` (add the weakly labelled records
-    to the training set) and any of ``trainer.SETTINGS``, applied over
-    ``base_cfg`` seeded ``base_cfg.seed + index``.  A failure, such as an
-    unknown key, is recorded in the row and the grid continues.
+    An entry may set ``label``, ``use_web`` (a boolean: add ``web_records``,
+    which must then be nonempty, to the training set) and any of
+    ``trainer.SETTINGS``, applied over ``base_cfg`` seeded
+    ``base_cfg.seed + index``.  A failure, such as an unknown key, is recorded
+    in the row and the grid continues.
     """
     rows = []
     for idx, entry in enumerate(grid):
@@ -180,8 +181,13 @@ def run_ablation(grid: list[dict], train_records, eval_records, base_cfg: TrainC
         try:
             settings = {k: v for k, v in entry.items() if k not in ("label", "use_web")}
             cfg = apply_settings(replace(base_cfg, seed=base_cfg.seed + idx), settings)
+            use_web = entry.get("use_web", False)
+            if not isinstance(use_web, bool):
+                raise ConfigError(f"use_web must be a boolean, got {use_web!r}")
+            if use_web and not web_records:
+                raise ConfigError("use_web is true but no web records were given")
             records = list(train_records)
-            if entry.get("use_web") and web_records:
+            if use_web:
                 records = merge_weak_labels(records, web_records)
             pairs = generate_pairs(records, protocol)
             params, _, _ = train(build_network(spec, seed=cfg.seed), pairs, cfg)

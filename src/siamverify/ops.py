@@ -6,7 +6,12 @@ and scoring).  Elementwise binary ops accept equal shapes or a scalar on
 either side; no general broadcasting.
 
 Convolution uses the cross-correlation convention (no kernel flip), matching
-mainstream CNN practice.
+mainstream CNN practice.  Its forward lowers the input to im2col columns one
+band of output rows at a time, each band at most ``_COLS_BYTES`` (16 MiB) of
+float64 where one output row fits, so no whole-layer column matrix is built;
+a layer whose columns fit is one band.  On the tape a conv keeps its padded
+input (the input itself when ``pad=0``), not its columns; its backward
+rebuilds the whole column matrix once.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ import numpy as np
 
 from .errors import ShapeError
 from .tensor import Graph, Tensor
+
+_COLS_BYTES = 1 << 24  # im2col band budget of conv2d's forward
 
 
 def _rec(g: Graph | None, out: Tensor, inputs, backward_fn, pattern=None) -> Tensor:
@@ -177,11 +184,21 @@ def conv2d(g, x, kernels, bias, stride: int = 1, pad: int = 0) -> Tensor:
     wo = (wp - kw) // stride + 1
 
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
     kmat = kernels.data.reshape(cout, -1)
-    out = Tensor((kmat @ cols).reshape(cout, ho, wo) + bias.data[:, None, None])
+    y = np.empty((cout, ho * wo))
+    rows = max(1, _COLS_BYTES // (8 * cin * kh * kw * wo))
+    for r0 in range(0, ho, rows):
+        r1 = min(r0 + rows, ho)
+        band = xp[:, stride * r0:stride * (r1 - 1) + kh]
+        # bitwise the whole-layer gemm's columns when r0 * wo is a multiple of 8, as in
+        # every tiny and vggface16 layer: OpenBLAS may round a last partial 8-column
+        # block differently
+        np.matmul(kmat, _im2col(band, kh, kw, stride, r1 - r0, wo), out=y[:, r0 * wo:r1 * wo])
+    y += bias.data[:, None]
+    out = Tensor(y.reshape(cout, ho, wo))
 
     def backward(go):
+        cols = _im2col(xp, kh, kw, stride, ho, wo)
         gmat = go.reshape(cout, -1)
         dk = (gmat @ cols.T).reshape(kernels.shape)
         db = gmat.sum(axis=1)

@@ -315,3 +315,24 @@ class TestSettings:
         assert {k: resolved[k] for k in SETTINGS} == settings_of(seen[0])
         assert (resolved["epochs"], resolved["seed"], resolved["freeze_k"]) == \
             (3, 2, DEFAULT_FREEZE["tiny"])
+
+    @pytest.mark.parametrize("with_web", [True, False])
+    def test_ablate_resolved_config_names_the_web_manifest(self, corpus, tmp_path, monkeypatch,
+                                                           capsys, with_web):
+        seen = []
+
+        def fake_run_ablation(grid, train_records, eval_records, base_cfg, spec, **kw):
+            seen.append(kw["web_records"])
+            return []
+
+        monkeypatch.setattr(cli, "run_ablation", fake_run_ablation)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text("[]")
+        out = tmp_path / "abl"
+        web = ["--web-manifest", corpus[1]] if with_web else []
+        assert main(["ablate", "--grid", str(grid_path), "--manifest", corpus[0], *web,
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["web_manifest"] == (corpus[1] if with_web else None)
+        assert (seen[0] is not None) == with_web

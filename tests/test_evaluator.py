@@ -276,17 +276,21 @@ class TestRunAblation:
 
     RECORDS = [ImageRecord("id01", "g.pgm", "genuine"), ImageRecord("id01", "d.pgm", "disguised"),
                ImageRecord("id01", "i.pgm", "impostor")]
+    WEB = [ImageRecord("id01", "w.pgm", "genuine", source="web")]
 
-    def _run(self, monkeypatch, grid, base_cfg):
+    def _run(self, monkeypatch, grid, base_cfg, web_records=None, pair_counts=None):
         seen = []
 
         def fake_train(params, pairs, cfg, out_dir=None):
             seen.append(cfg)
+            if pair_counts is not None:
+                pair_counts.append(len(pairs))
             return params, TrainLog(), []
 
         monkeypatch.setattr(evaluator, "train", fake_train)
         monkeypatch.setattr(evaluator, "score_pairs", lambda params, pairs: EXAMPLE)
-        rows = run_ablation(grid, self.RECORDS, self.RECORDS, base_cfg, NetworkSpec.tiny())
+        rows = run_ablation(grid, self.RECORDS, self.RECORDS, base_cfg, NetworkSpec.tiny(),
+                            web_records=web_records)
         return rows, seen
 
     def test_seeds_follow_base_cfg(self, monkeypatch):
@@ -299,6 +303,27 @@ class TestRunAblation:
         assert rows[0].error.startswith("ConfigError") and "'enable_bce'" in rows[0].error
         assert rows[1].error is None and rows[1].best_accuracy == 0.875
         assert len(seen) == 1 and seen[0].loss.enable_lbce is True
+
+    @pytest.mark.parametrize("use_web", ["yes", 1, None, [True]])
+    def test_non_boolean_use_web_is_that_rows_error(self, monkeypatch, use_web):
+        rows, seen = self._run(monkeypatch, [{"label": "bad", "use_web": use_web},
+                                             {"label": "ok"}], TrainConfig(),
+                               web_records=self.WEB)
+        assert rows[0].error.startswith("ConfigError") and "use_web" in rows[0].error
+        assert rows[1].error is None and len(seen) == 1
+
+    def test_use_web_without_web_records_is_that_rows_error(self, monkeypatch):
+        rows, seen = self._run(monkeypatch, [{"label": "weak", "use_web": True},
+                                             {"label": "ok"}], TrainConfig())
+        assert rows[0].error.startswith("ConfigError") and "web records" in rows[0].error
+        assert rows[1].error is None and len(seen) == 1
+
+    def test_use_web_adds_the_web_records(self, monkeypatch):
+        counts = []
+        rows, _ = self._run(monkeypatch, [{"use_web": False}, {"use_web": True}, {}],
+                            TrainConfig(), web_records=self.WEB, pair_counts=counts)
+        assert all(r.error is None for r in rows)
+        assert counts[1] > counts[0] == counts[2]
 
     def test_entry_settings_apply(self, monkeypatch):
         rows, seen = self._run(monkeypatch, [{"label": "fast", "lr": 0.5, "use_web": False,

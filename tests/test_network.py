@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from siamverify import (DEFAULT_FREEZE, NetworkSpec, Tensor, build_network,
                         forward_embedding, forward_head, freeze_prefix,
-                        load_params, save_params, siamese_forward)
+                        load_params, ops, save_params, siamese_forward)
 from siamverify.errors import ConfigError, FormatError, ShapeError
 
 TINY = NetworkSpec.tiny()
@@ -168,6 +169,22 @@ class TestForward:
         assert p_ab.shape == ()
         assert p_ab.item() == p_ba.item()
         assert 0.0 < p_ab.item() < 1.0
+
+
+def test_untaped_embedding_peak_is_bounded_by_the_band_budget():
+    # conv1_2's whole-layer columns (64*9 x 64*64 float64, 18.9 MB) exceed the budget
+    spec = NetworkSpec(input_shape=(3, 64, 64), stages=((64, 2),), fc=(8, 4), head=(1,))
+    tracemalloc.start()
+    try:
+        params = build_network(spec, seed=0)
+        x = rand_input(0, spec)
+        forward_embedding(params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    param_bytes = sum(t.data.nbytes for t in params.tensors)
+    largest_activation = 64 * 64 * 64 * 8
+    assert peak < param_bytes + 4 * largest_activation + ops._COLS_BYTES
 
 
 class TestCheckpoint:

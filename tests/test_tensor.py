@@ -1,5 +1,7 @@
 """Tensor core: forward primitives, backward pass, finite-difference checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,77 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             ops.conv2d(None, Tensor(np.zeros((1, 2, 2))),
                        Tensor(np.zeros((1, 1, 5, 5))), Tensor(np.zeros(1)))
+
+
+def _whole_layer_conv(x, k, b, stride, pad, go):
+    """Reference: one whole-layer im2col conv, forward and backward for ``go``.
+
+    Returns (y, dx, dk, db).
+    """
+    cin, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    ho = (xp.shape[1] - kh) // stride + 1
+    wo = (xp.shape[2] - kw) // stride + 1
+    cols = np.empty((cin, kh, kw, ho, wo))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    cols = cols.reshape(cin * kh * kw, ho * wo)
+    kmat = k.reshape(cout, -1)
+    y = (kmat @ cols).reshape(cout, ho, wo) + b[:, None, None]
+    gmat = go.reshape(cout, -1)
+    dcols = (kmat.T @ gmat).reshape(cin, kh, kw, ho, wo)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
+    return (y, dxp[:, pad:pad + h, pad:pad + w], (gmat @ cols.T).reshape(k.shape),
+            gmat.sum(axis=1))
+
+
+class TestConv2dBands:
+    """Banded im2col gives the whole-layer conv's bytes, forward and backward."""
+
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])  # None: the default budget, one band
+    def test_bands_match_whole_layer(self, monkeypatch, stride, pad, rows):
+        # 8 output columns a row; every tiny and vggface16 row is a multiple of 8.
+        # OpenBLAS 0.3.31 can round a column in a gemm's last partial block of
+        # 8 columns differently, so bands not starting at a multiple of 8 can
+        # move the last bits
+        wo = 8
+        rng = np.random.default_rng(10 * stride + pad)
+        xv = rng.standard_normal((2, 9, stride * (wo - 1) + 3 - 2 * pad))
+        kv, bv = rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3)
+        if rows is not None:
+            # 2, 3: the last band is shorter wherever ho is no multiple of rows
+            monkeypatch.setattr(ops, "_COLS_BYTES", rows * 8 * 2 * 3 * 3 * wo)
+        x, k, b = Tensor(xv), Tensor(kv), Tensor(bv)
+        g = Graph()
+        out = ops.conv2d(g, x, k, b, stride=stride, pad=pad)
+        go = rng.standard_normal(out.shape)
+        g.backward(ops.tsum(g, ops.mul(g, out, Tensor(go))))
+        want = _whole_layer_conv(xv, kv, bv, stride, pad, go)
+        for got, ref in zip((out.data, x.grad, k.grad, b.grad), want):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_recorded_conv_keeps_padded_input_not_columns(self):
+        # the 9x column matrix of a 3x3 conv must not wait on the tape for backward
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((64, 64, 64)))
+        k, b = Tensor(rng.standard_normal((64, 64, 3, 3))), Tensor(np.zeros(64))
+        g = Graph()
+        tracemalloc.start()
+        try:
+            out = ops.conv2d(g, x, k, b, stride=1, pad=1)
+            retained = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert retained < 2 * (64 * 66 * 66 * 8)
+        g.backward(ops.tsum(g, out))
+        assert x.grad.shape == x.shape and k.grad.shape == k.shape
 
 
 class TestPrimitives:
