@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from .atomic import atomic_open
 from .dataset import (PROTOCOLS, SPLITS, export_pairs_csv, generate_pairs, merge_weak_labels,
                       parse_manifest)
 from .evaluator import SCORE_MODES, metrics_report, roc_curve, run_ablation, score_pairs
@@ -35,7 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--web-manifest")
     p_train.add_argument("--profile", default="tiny", choices=sorted(DEFAULT_FREEZE))
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--protocol", default="overall", choices=PROTOCOLS)
     p_train.add_argument("--margin", type=float)
     p_train.add_argument("--lr", type=float)
     p_train.add_argument("--epochs", type=int)
@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score pairs with a trained checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--manifest", required=True)
-    p_eval.add_argument("--protocol", default="overall", choices=PROTOCOLS)
     p_eval.add_argument("--mode", default="head", choices=SCORE_MODES)
     p_eval.add_argument("--split", default=None, choices=SPLITS)
     p_eval.add_argument("--out", required=True)
@@ -75,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_abl.add_argument("--manifest", required=True)
     p_abl.add_argument("--web-manifest")
     p_abl.add_argument("--profile", default="tiny", choices=sorted(DEFAULT_FREEZE))
-    p_abl.add_argument("--protocol", default="overall", choices=PROTOCOLS)
     p_abl.add_argument("--epochs", type=int)
     p_abl.add_argument("--seed", type=int)
     p_abl.add_argument("--out", required=True)
@@ -99,7 +97,7 @@ def _given(args, keys) -> dict:
 
 def _write_config(out_dir, config: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as f:
         json.dump(config, f, indent=2, sort_keys=True)
 
 
@@ -115,11 +113,11 @@ def _cmd_train(args) -> int:
     records = [r for r in records if r.split == "train"]
     if args.web_manifest:
         records = merge_weak_labels(records, parse_manifest(args.web_manifest))
-    pairs = generate_pairs(records, args.protocol)
+    pairs = generate_pairs(records, "overall")
 
     resolved = {
         "command": "train", "manifest": args.manifest, "web_manifest": args.web_manifest,
-        "profile": args.profile, "protocol": args.protocol, "out": args.out,
+        "profile": args.profile, "protocol": "overall", "out": args.out,
         "n_records": len(records), "n_pairs": len(pairs), **settings_of(cfg),
     }
     _write_config(args.out, resolved)
@@ -135,16 +133,16 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     params = load_params(args.checkpoint)
     records = _records_for_split(parse_manifest(args.manifest), args.split)
-    pairs = generate_pairs(records, args.protocol)
+    pairs = generate_pairs(records, "overall")
     resolved = {"command": "eval", "checkpoint": args.checkpoint,
-                "manifest": args.manifest, "protocol": args.protocol,
+                "manifest": args.manifest, "protocol": "overall",
                 "mode": args.mode, "split": args.split, "out": args.out,
                 "n_pairs": len(pairs)}
     _write_config(args.out, resolved)
     scores = score_pairs(params, pairs, mode=args.mode)
     roc_curve(scores).write_csv(os.path.join(args.out, "roc.csv"))
     report = metrics_report(scores, args.mode)
-    with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2)
     print(json.dumps(report, indent=2))
     return 0
@@ -194,10 +192,10 @@ def _cmd_ablate(args) -> int:
                                               **_given(args, ("epochs", "seed"))})
     _write_config(args.out, {"command": "ablate", "grid": grid, "manifest": args.manifest,
                              "web_manifest": args.web_manifest, "profile": args.profile,
-                             "protocol": args.protocol, "out": args.out,
+                             "protocol": "overall", "out": args.out,
                              **settings_of(base_cfg)})
     rows = run_ablation(grid, train_records, eval_records, base_cfg, spec,
-                        out_dir=args.out, web_records=web, protocol=args.protocol)
+                        out_dir=args.out, web_records=web)
     for row in rows:
         status = row.error or f"best_acc={row.best_accuracy:.4f} gar={row.gar_at}"
         print(f"{row.label}: {status}")

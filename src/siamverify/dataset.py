@@ -19,6 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from . import images
+from .atomic import atomic_open
 from .errors import ConfigError, DomainError, ManifestError
 from .tensor import Tensor
 
@@ -171,7 +172,7 @@ def generate_pairs(records: list[ImageRecord], protocol: str) -> list[PairRecord
 
 
 def export_pairs_csv(pairs: list[PairRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(PAIR_CSV_HEADER)
         for p in pairs:

@@ -12,10 +12,12 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import losses
+from .atomic import atomic_open
 from .dataset import PairRecord, generate_pairs, load_image, merge_weak_labels
 from .errors import ConfigError, DomainError
 from .network import NetworkParams, build_network, forward_embedding, forward_head
@@ -25,7 +27,7 @@ DEFAULT_FAR_TARGETS = (0.001, 0.01, 0.1)
 SCORE_MODES = ("head", "cosine")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoreSet:
     """Pair scores split by ground truth; higher = more likely same identity."""
 
@@ -33,14 +35,31 @@ class ScoreSet:
     impostor: np.ndarray
 
     def __post_init__(self):
-        self.genuine = np.asarray(self.genuine, dtype=np.float64)
-        self.impostor = np.asarray(self.impostor, dtype=np.float64)
+        object.__setattr__(self, "genuine", np.asarray(self.genuine, dtype=np.float64))
+        object.__setattr__(self, "impostor", np.asarray(self.impostor, dtype=np.float64))
         if np.isnan(self.genuine).any() or np.isnan(self.impostor).any():
             raise DomainError("NaN score in ScoreSet")
 
     def require_both(self):
         if self.genuine.size == 0 or self.impostor.size == 0:
             raise DomainError("ROC/GAR metrics need both score populations nonempty")
+
+    @cached_property
+    def sweep(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct thresholds ascending, with genuine and impostor ``>= t`` counts.
+
+        The one sort is inside ``np.unique``, computed on first use and kept;
+        ``searchsorted`` then places each score at its threshold, and suffix
+        sums count the scores at or above it.
+        """
+        self.require_both()
+        t = np.unique(np.concatenate([self.genuine, self.impostor]))
+
+        def accepted(scores):
+            at = np.bincount(np.searchsorted(t, scores), minlength=t.size)
+            return np.cumsum(at[::-1])[::-1]
+
+        return t, accepted(self.genuine), accepted(self.impostor)
 
 
 @dataclass
@@ -50,7 +69,7 @@ class RocCurve:
     points: list[tuple[float, float, float]]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_open(path, "w", encoding="utf-8") as f:
             f.write("threshold,far,gar\n")
             for t, far, gar in self.points:
                 f.write(f"{t:.12g},{far:.12g},{gar:.12g}\n")
@@ -87,25 +106,9 @@ def score_pairs(params: NetworkParams, pairs: list[PairRecord],
     return ScoreSet(np.array(genuine), np.array(impostor))
 
 
-def _sweep(s: ScoreSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct thresholds ascending, with genuine and impostor ``>= t`` counts.
-
-    The one sort is inside ``np.unique``; ``searchsorted`` then places each
-    score at its threshold, and suffix sums count the scores at or above it.
-    """
-    s.require_both()
-    t = np.unique(np.concatenate([s.genuine, s.impostor]))
-
-    def accepted(scores):
-        at = np.bincount(np.searchsorted(t, scores), minlength=t.size)
-        return np.cumsum(at[::-1])[::-1]
-
-    return t, accepted(s.genuine), accepted(s.impostor)
-
-
 def roc_curve(s: ScoreSet) -> RocCurve:
     """Empirical ROC over every distinct observed threshold, descending."""
-    t, acc_g, acc_i = _sweep(s)
+    t, acc_g, acc_i = s.sweep
     far, gar = acc_i / s.impostor.size, acc_g / s.genuine.size
     return RocCurve([(np.inf, 0.0, 0.0)] + [(float(a), float(b), float(c))
                                             for a, b, c in zip(t[::-1], far[::-1], gar[::-1])])
@@ -115,7 +118,7 @@ def gar_at_far(s: ScoreSet, far_target: float) -> tuple[float, float]:
     """GAR at the smallest threshold whose FAR does not exceed the target."""
     if not (0.0 < far_target <= 1.0):
         raise DomainError(f"far_target {far_target} outside (0, 1]")
-    t, acc_g, acc_i = _sweep(s)
+    t, acc_g, acc_i = s.sweep
     hit = np.flatnonzero(acc_i / s.impostor.size <= far_target)
     if not hit.size:
         return 0.0, np.inf
@@ -124,7 +127,7 @@ def gar_at_far(s: ScoreSet, far_target: float) -> tuple[float, float]:
 
 def best_accuracy(s: ScoreSet) -> tuple[float, float]:
     """Exhaustive threshold sweep; ties broken toward the lowest threshold."""
-    t, acc_g, acc_i = _sweep(s)
+    t, acc_g, acc_i = s.sweep
     correct = acc_g + (s.impostor.size - acc_i)
     if t[-1] < np.inf:  # the +inf sentinel accepts nothing
         t, correct = np.append(t, np.inf), np.append(correct, s.impostor.size)
@@ -163,9 +166,8 @@ class AblationRow:
 
 
 def run_ablation(grid: list[dict], train_records, eval_records, base_cfg: TrainConfig,
-                 spec, out_dir=None, web_records=None,
-                 protocol: str = "overall") -> list[AblationRow]:
-    """Train/evaluate one model per grid entry and score it with the head.
+                 spec, out_dir=None, web_records=None) -> list[AblationRow]:
+    """Train/evaluate one model per grid entry on ``overall`` pairs, scored with the head.
 
     An entry may set ``label``, ``use_web`` (a boolean: add ``web_records``,
     which must then be nonempty, to the training set) and any of
@@ -189,9 +191,9 @@ def run_ablation(grid: list[dict], train_records, eval_records, base_cfg: TrainC
             records = list(train_records)
             if use_web:
                 records = merge_weak_labels(records, web_records)
-            pairs = generate_pairs(records, protocol)
+            pairs = generate_pairs(records, "overall")
             params, _, _ = train(build_network(spec, seed=cfg.seed), pairs, cfg)
-            eval_pairs = generate_pairs(eval_records, protocol)
+            eval_pairs = generate_pairs(eval_records, "overall")
             report = metrics_report(score_pairs(params, eval_pairs), "head")
             row.best_accuracy = report["best_accuracy"]
             row.best_threshold = report["best_threshold"]
@@ -208,7 +210,7 @@ def run_ablation(grid: list[dict], train_records, eval_records, base_cfg: TrainC
 def write_ablation_report(rows: list[AblationRow], out_dir):
     os.makedirs(str(out_dir), exist_ok=True)
     csv_path = os.path.join(str(out_dir), "ablation.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as f:
+    with atomic_open(csv_path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["label", "config", "best_accuracy"]
                         + [f"gar_at_{ft}" for ft in DEFAULT_FAR_TARGETS] + ["error"])
@@ -219,5 +221,5 @@ def write_ablation_report(rows: list[AblationRow], out_dir):
             cfg = json.dumps(r.config).replace('"', "'")
             writer.writerow([r.label, cfg, acc] + gars + [r.error or ""])
     json_path = os.path.join(str(out_dir), "ablation.json")
-    with open(json_path, "w", encoding="utf-8") as f:
+    with atomic_open(json_path, "w", encoding="utf-8") as f:
         json.dump([r.__dict__ for r in rows], f, indent=2, default=str)

@@ -11,6 +11,7 @@ import struct
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import FormatError
 
 F64_SUFFIX = ".f64"
@@ -93,7 +94,7 @@ def write_pgm(path, img: np.ndarray) -> None:
         img = img[0]
     h, w = img.shape
     pixels = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode())
         f.write(pixels.tobytes())
 
@@ -103,7 +104,7 @@ def write_ppm(path, img: np.ndarray) -> None:
     img = np.asarray(img)
     _, h, w = img.shape
     pixels = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode())
         f.write(pixels.transpose(1, 2, 0).tobytes())
 
@@ -111,7 +112,7 @@ def write_ppm(path, img: np.ndarray) -> None:
 def write_f64(path, img: np.ndarray) -> None:
     img = np.ascontiguousarray(img, dtype="<f8")
     c, h, w = img.shape
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(struct.pack("<III", c, h, w))
         f.write(img.tobytes())
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ops
+from .atomic import atomic_open
 from .errors import ConfigError, FormatError, ShapeError
 from .tensor import Graph, Tensor
 
@@ -232,20 +232,12 @@ def save_params(params: NetworkParams, path) -> None:
         "freeze": params.freeze,
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    # write beside the target and rename, so a failed write leaves the old file
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-            f.write(blob)
-            for t in params.tensors:
-                f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
+        f.write(blob)
+        for t in params.tensors:
+            f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
 def load_params(path, expect_spec: NetworkSpec | None = None) -> NetworkParams:

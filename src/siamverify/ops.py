@@ -9,9 +9,11 @@ Convolution uses the cross-correlation convention (no kernel flip), matching
 mainstream CNN practice.  Its forward lowers the input to im2col columns one
 band of output rows at a time, each band at most ``_COLS_BYTES`` (16 MiB) of
 float64 where one output row fits, so no whole-layer column matrix is built;
-a layer whose columns fit is one band.  On the tape a conv keeps its padded
-input (the input itself when ``pad=0``), not its columns; its backward
-rebuilds the whole column matrix once.
+a layer whose columns fit is one band.  A band's gemm may round differently
+from a whole-layer gemm in the last bits, wherever the band starts; a one-band
+layer is unaffected.  On the tape a conv keeps its padded input (the input
+itself when ``pad=0``), not its columns; its backward rebuilds the whole column
+matrix once.
 """
 
 from __future__ import annotations
@@ -190,9 +192,7 @@ def conv2d(g, x, kernels, bias, stride: int = 1, pad: int = 0) -> Tensor:
     for r0 in range(0, ho, rows):
         r1 = min(r0 + rows, ho)
         band = xp[:, stride * r0:stride * (r1 - 1) + kh]
-        # bitwise the whole-layer gemm's columns when r0 * wo is a multiple of 8, as in
-        # every tiny and vggface16 layer: OpenBLAS may round a last partial 8-column
-        # block differently
+        # BLAS may round a band's gemm differently from the whole layer's in the last bits
         np.matmul(kmat, _im2col(band, kh, kw, stride, r1 - r0, wo), out=y[:, r0 * wo:r1 * wo])
     y += bias.data[:, None]
     out = Tensor(y.reshape(cout, ho, wo))

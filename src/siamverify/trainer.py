@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import losses, ops
+from .atomic import atomic_open
 from .dataset import AugmentConfig, PairRecord, augment, load_image, pair_rng
 from .errors import ConfigError, NumericError
 from .losses import LossBreakdown, LossConfig, class_weights, total_loss
@@ -100,7 +101,7 @@ class TrainLog:
     rows: list[EpochRow] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_open(path, "w", encoding="utf-8") as f:
             f.write("epoch,l_c,l_r,l_bce,l_total,train_acc,seconds\n")
             for r in self.rows:
                 f.write(f"{r.epoch},{r.l_c:.12g},{r.l_r:.12g},{r.l_bce:.12g},"

@@ -40,6 +40,15 @@ class TestUsage:
         assert main(["--help"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--manifest", "m.jsonl", "--out", "o"],
+        ["eval", "--checkpoint", "c.dgnet", "--manifest", "m.jsonl", "--out", "o"],
+        ["ablate", "--grid", "g.json", "--manifest", "m.jsonl", "--out", "o"]])
+    def test_only_pairs_takes_a_protocol(self, capsys, command):
+        # train, eval and ablate use the overall pairs, the one protocol with both labels
+        assert main(command + ["--protocol", "overall"]) == 2
+        capsys.readouterr()
+
 
 class TestPairs:
     def test_csv_contract(self, corpus, tmp_path, capsys):
@@ -293,7 +302,7 @@ class TestSettings:
         sub = next(a for a in cli._build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         dests = {a.dest for a in sub.choices["train"]._actions}
-        other = {"help", "manifest", "web_manifest", "profile", "out", "protocol", "config"}
+        other = {"help", "manifest", "web_manifest", "profile", "out", "config"}
         assert dests - other == set(SETTINGS)
 
     def test_ablate_resolved_config_holds_every_setting(self, corpus, tmp_path, monkeypatch,

@@ -270,6 +270,15 @@ class TestMetricsReport:
         assert report["best_accuracy"] == 0.875
         assert report["acc_at_0.5"] == 0.75
 
+    def test_report_and_roc_sort_once(self, monkeypatch):
+        sorts = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: sorts.append(1) or unique(*a, **kw))
+        s = random_scores(4)
+        metrics_report(s, mode="head")
+        roc_curve(s)
+        assert len(sorts) == 1
+
 
 class TestRunAblation:
     """Grid entries are ``label``/``use_web`` plus settings, read by ``apply_settings``."""
