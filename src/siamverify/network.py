@@ -14,6 +14,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,11 @@ class NetworkSpec:
             c = out_c
             h, w = h // 2, w // 2
         return c * h * w
+
+    @cached_property
+    def layer_kinds(self) -> tuple[str, ...]:
+        """"conv", "fc" or "head" per weighted layer, in order."""
+        return tuple(k for k, _, _ in self.layer_shapes())
 
     def layer_shapes(self) -> list[tuple[str, tuple, tuple]]:
         """(kind, weight shape, bias shape) per weighted layer, in order."""
@@ -152,9 +158,16 @@ class NetworkParams:
 
     def layer_params(self):
         """Iterate (kind, weight tensor, bias tensor) per weighted layer."""
-        kinds = [k for k, _, _ in self.spec.layer_shapes()]
-        for i, kind in enumerate(kinds):
+        for i, kind in enumerate(self.spec.layer_kinds):
             yield kind, self.tensors[2 * i], self.tensors[2 * i + 1]
+
+    def frozen_conv_prefix(self) -> int:
+        """Number of leading conv layers whose weight and bias are both frozen."""
+        n = 0
+        while (n < self.spec.conv_layer_count
+               and self.freeze[2 * n] and self.freeze[2 * n + 1]):
+            n += 1
+        return n
 
 
 def build_network(spec: NetworkSpec, seed: int) -> NetworkParams:
@@ -182,18 +195,25 @@ def freeze_prefix(params: NetworkParams, k: int) -> NetworkParams:
 
 
 def forward_embedding(params: NetworkParams, x: Tensor, g: Graph | None = None) -> Tensor:
-    """One stream: conv stages -> flatten -> fc1 -> fc2, rectified throughout."""
+    """One stream: conv stages -> flatten -> fc1 -> fc2, rectified throughout.
+
+    The leading conv layers whose weight and bias are both frozen, and the
+    maxpool of a stage that is frozen whole, run off the tape: no gradient
+    reaches them, so their frozen tensors keep ``grad=None``.
+    """
     if x.shape != params.spec.input_shape:
         raise ShapeError(f"input shape {x.shape} != spec {params.spec.input_shape}")
     layers = list(params.layer_params())
+    n_frozen = params.frozen_conv_prefix()
     h = x
     i = 0
     for _, n_convs in params.spec.stages:
         for _ in range(n_convs):
             _, w, b = layers[i]
-            h = ops.relu(g, ops.conv2d(g, h, w, b, stride=1, pad=1))
+            gi = g if i >= n_frozen else None
+            h = ops.relu(gi, ops.conv2d(gi, h, w, b, stride=1, pad=1))
             i += 1
-        h = ops.maxpool2(g, h)
+        h = ops.maxpool2(g if i > n_frozen else None, h)
     h = ops.reshape(g, h, (params.spec.flat_size(),))
     for _ in params.spec.fc:
         _, w, b = layers[i]

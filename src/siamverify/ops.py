@@ -3,7 +3,9 @@
 Every op takes the tape as its first argument, then ``Tensor`` operands;
 pass ``g=None`` for a pure forward evaluation (used by finite differencing
 and scoring).  Elementwise binary ops accept equal shapes or a scalar on
-either side; no general broadcasting.
+either side; no general broadcasting.  A backward closure keeps only the
+arrays and shapes it reads, never an operand tensor, so a recorded op's
+input dies when the forward pass drops it unless backward needs its values.
 
 Convolution uses the cross-correlation convention (no kernel flip), matching
 mainstream CNN practice.  Its forward lowers the input to im2col columns one
@@ -47,31 +49,32 @@ def _reduce_to(grad: np.ndarray, shape) -> np.ndarray:
 def add(g, a, b) -> Tensor:
     _binary_shapes(a, b)
     out = Tensor(a.data + b.data)
-    return _rec(g, out, (a, b),
-                lambda go: (_reduce_to(go, a.shape), _reduce_to(go, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _rec(g, out, (a, b), lambda go: (_reduce_to(go, sa), _reduce_to(go, sb)))
 
 
 def sub(g, a, b) -> Tensor:
     _binary_shapes(a, b)
     out = Tensor(a.data - b.data)
-    return _rec(g, out, (a, b),
-                lambda go: (_reduce_to(go, a.shape), _reduce_to(-go, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _rec(g, out, (a, b), lambda go: (_reduce_to(go, sa), _reduce_to(-go, sb)))
 
 
 def mul(g, a, b) -> Tensor:
     _binary_shapes(a, b)
-    out = Tensor(a.data * b.data)
+    ad, bd = a.data, b.data
+    out = Tensor(ad * bd)
     return _rec(g, out, (a, b),
-                lambda go: (_reduce_to(go * b.data, a.shape),
-                            _reduce_to(go * a.data, b.shape)))
+                lambda go: (_reduce_to(go * bd, ad.shape), _reduce_to(go * ad, bd.shape)))
 
 
 def div(g, a, b) -> Tensor:
     _binary_shapes(a, b)
-    out = Tensor(a.data / b.data)
+    ad, bd = a.data, b.data
+    out = Tensor(ad / bd)
     return _rec(g, out, (a, b),
-                lambda go: (_reduce_to(go / b.data, a.shape),
-                            _reduce_to(-go * a.data / (b.data * b.data), b.shape)))
+                lambda go: (_reduce_to(go / bd, ad.shape),
+                            _reduce_to(-go * ad / (bd * bd), bd.shape)))
 
 
 def neg(g, a) -> Tensor:
@@ -94,8 +97,9 @@ def sigmoid(g, a) -> Tensor:
 
 
 def log(g, a) -> Tensor:
-    out = Tensor(np.log(a.data))
-    return _rec(g, out, (a,), lambda go: (go / a.data,))
+    x = a.data
+    out = Tensor(np.log(x))
+    return _rec(g, out, (a,), lambda go: (go / x,))
 
 
 def sqrt(g, a) -> Tensor:
@@ -119,12 +123,14 @@ def clamp(g, a, lo: float, hi: float) -> Tensor:
 def tsum(g, a) -> Tensor:
     """Sum of all elements, returning a scalar tensor."""
     out = Tensor(a.data.sum())
-    return _rec(g, out, (a,), lambda go: (np.full(a.shape, float(go)),))
+    sa = a.shape
+    return _rec(g, out, (a,), lambda go: (np.full(sa, float(go)),))
 
 
 def reshape(g, a, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
-    return _rec(g, out, (a,), lambda go: (go.reshape(a.shape),))
+    sa = a.shape
+    return _rec(g, out, (a,), lambda go: (go.reshape(sa),))
 
 
 def stack(g, scalars) -> Tensor:
@@ -142,10 +148,11 @@ def linear(g, x, w, b) -> Tensor:
         raise ShapeError(f"linear expects 1-D input and 2-D weight, got {x.shape}, {w.shape}")
     if w.shape[1] != x.shape[0] or b.shape != (w.shape[0],):
         raise ShapeError(f"linear shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
-    out = Tensor(w.data @ x.data + b.data)
+    xd, wd = x.data, w.data
+    out = Tensor(wd @ xd + b.data)
 
     def backward(go):
-        return (w.data.T @ go, np.outer(go, x.data), go)
+        return (wd.T @ go, np.outer(go, xd), go)
 
     return _rec(g, out, (x, w, b), backward)
 
@@ -185,7 +192,11 @@ def conv2d(g, x, kernels, bias, stride: int = 1, pad: int = 0) -> Tensor:
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    if pad:
+        xp = np.zeros((cin, hp, wp))
+        xp[:, pad:pad + h, pad:pad + w] = x.data
+    else:
+        xp = x.data
     kmat = kernels.data.reshape(cout, -1)
     y = np.empty((cout, ho * wo))
     rows = max(1, _COLS_BYTES // (8 * cin * kh * kw * wo))
@@ -197,10 +208,12 @@ def conv2d(g, x, kernels, bias, stride: int = 1, pad: int = 0) -> Tensor:
     y += bias.data[:, None]
     out = Tensor(y.reshape(cout, ho, wo))
 
+    kshape = kernels.shape
+
     def backward(go):
         cols = _im2col(xp, kh, kw, stride, ho, wo)
         gmat = go.reshape(cout, -1)
-        dk = (gmat @ cols.T).reshape(kernels.shape)
+        dk = (gmat @ cols.T).reshape(kshape)
         db = gmat.sum(axis=1)
         dxp = _col2im(kmat.T @ gmat, cin, hp, wp, kh, kw, stride, ho, wo)
         dx = dxp[:, pad:pad + h, pad:pad + w] if pad else dxp
@@ -210,21 +223,30 @@ def conv2d(g, x, kernels, bias, stride: int = 1, pad: int = 0) -> Tensor:
 
 
 def maxpool2(g, x) -> Tensor:
-    """2x2 max pooling with stride 2; spatial extents must be even."""
+    """2x2 max pooling with stride 2; spatial extents must be even.
+
+    The kink pattern is the argmax, 0..3 in window order (row-major within
+    the 2x2 window); the first maximum wins and a NaN counts as the maximum,
+    as ``np.argmax`` has it.  The tape keeps only that argmax.
+    """
     if x.data.ndim != 3:
         raise ShapeError(f"maxpool2 expects CHW input, got {x.shape}")
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 requires even spatial extents, got {h}x{w}")
-    win = x.data.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
-    idx = win.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(win, idx[..., None], axis=-1)[..., 0])
+    offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
+    views = [x.data[:, i::2, j::2] for i, j in offsets]
+    out = views[0].copy()
+    idx = np.zeros(out.shape, dtype=np.intp)
+    for k, v in enumerate(views[1:], 1):
+        take = ~(v <= out) & (out == out)  # v > out, or v is the first NaN
+        np.copyto(out, v, where=take)
+        idx[take] = k
 
     def backward(go):
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, idx[..., None], go[..., None], axis=-1)
-        dx = dwin.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+        dx = np.zeros((c, h, w))
+        for k, (i, j) in enumerate(offsets):
+            dx[:, i::2, j::2] = np.where(idx == k, go, 0.0)
         return (dx,)
 
-    return _rec(g, out, (x,), backward, idx)
-
+    return _rec(g, Tensor(out), (x,), backward, idx)

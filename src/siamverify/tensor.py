@@ -5,9 +5,17 @@ A ``Graph`` records every primitive application during a forward pass.
 gradients into the ``grad`` slot of every leaf it reaches, a leaf being a
 tensor that no node produced.  Intermediate tensors and leaves that no node
 touches keep ``grad=None``.  A tape runs backward once.
+
+The tape refers to the tensors it produced by a token, an integer unique in
+the process, and holds references only to leaves; each backward closure keeps
+just the arrays it reads.  An intermediate tensor therefore dies as soon as
+the forward pass drops it, and a tensor made later cannot take its place on
+the tape, as one that reused its ``id()`` could.
 """
 
 from __future__ import annotations
+
+from itertools import count
 
 import numpy as np
 
@@ -17,11 +25,12 @@ from .errors import StateError
 class Tensor:
     """n-dimensional float64 array with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "grad", "token")
 
     def __init__(self, data, grad=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None if grad is None else np.asarray(grad, dtype=np.float64)
+        self.token = None  # set when a graph records this tensor as an op's output
 
     @property
     def shape(self):
@@ -41,19 +50,28 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
+_tokens = count()
+
+
 class Graph:
     """Tape of primitive applications, topologically ordered by construction."""
 
     def __init__(self):
-        self._nodes = []  # (output, inputs tuple, backward closure, kink pattern)
+        self._nodes = []  # (output token, inputs tuple, backward closure, kink pattern)
+        self._produced = set()  # tokens of this graph's outputs
 
     def record(self, output: Tensor, inputs, backward_fn, pattern=None):
         """Append a node; ``backward_fn(grad_out) -> per-input grads (or None)``.
 
         ``pattern`` is the activation pattern a non-smooth op's backward uses
         (relu mask, abs sign, clamp inside, maxpool argmax); ``None`` if smooth.
+        The node keeps an input this graph produced by its token, any other
+        input (a leaf) by reference.
         """
-        self._nodes.append((output, tuple(inputs), backward_fn, pattern))
+        refs = tuple(t.token if t.token in self._produced else t for t in inputs)
+        output.token = next(_tokens)
+        self._produced.add(output.token)
+        self._nodes.append((output.token, refs, backward_fn, pattern))
 
     @property
     def nodes(self):
@@ -71,24 +89,27 @@ class Graph:
         """
         if not self._nodes:
             raise StateError("backward on an empty tape: nothing recorded, or backward already ran")
-        produced = {id(out) for out, _, _, _ in self._nodes}
-        if id(output) not in produced:
+        if output.token not in self._produced:
             raise StateError("backward target was not produced by this graph")
 
-        grads = {id(output): np.full(output.data.shape, seed, dtype=np.float64)}
-        leaves = {}
+        # keyed by token for produced tensors, by the tensor itself for leaves
+        grads = {output.token: np.full(output.data.shape, seed, dtype=np.float64)}
+        leaves = []
         while self._nodes:
-            out, inputs, backward_fn, _ = self._nodes.pop()
-            g = grads.pop(id(out), None)
+            token, refs, backward_fn, _ = self._nodes.pop()
+            g = grads.pop(token, None)
             if g is None:
                 continue
-            for tin, gin in zip(inputs, backward_fn(g)):
+            for ref, gin in zip(refs, backward_fn(g)):
                 if gin is None:
                     continue
-                key = id(tin)
-                if key not in produced:
-                    leaves[key] = tin
-                grads[key] = grads[key] + gin if key in grads else gin
-        for key, t in leaves.items():
-            g = grads[key]
+                if ref in grads:
+                    grads[ref] = grads[ref] + gin
+                else:
+                    grads[ref] = gin
+                    if isinstance(ref, Tensor):
+                        leaves.append(ref)
+        self._produced.clear()
+        for t in leaves:
+            g = grads[t]
             t.grad = g if t.grad is None else t.grad + g

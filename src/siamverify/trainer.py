@@ -123,17 +123,18 @@ def make_batches(pairs: list, batch_size: int, seed: int) -> list[list]:
 
 
 def sgd_step(params: NetworkParams, lr: float) -> None:
-    """theta <- theta - lr * grad for unfrozen tensors; frozen ones untouched.
+    """theta <- theta - lr * grad, in place, for unfrozen tensors; frozen ones untouched.
 
     Every gradient is checked before any tensor moves, so a non-finite
-    gradient leaves all parameters as they were.
+    gradient leaves all parameters as they were.  The update writes into
+    each ``t.data`` array, so a snapshot of the parameters must be a copy.
     """
     for i, t in enumerate(params.tensors):
         if t.grad is not None and not np.all(np.isfinite(t.grad)):
             raise NumericError(f"non-finite gradient in parameter tensor {i}")
     for t, frozen in zip(params.tensors, params.freeze):
         if t.grad is not None and not frozen:
-            t.data = t.data - lr * t.grad
+            t.data -= lr * t.grad
 
 
 def pair_batch_loss(params: NetworkParams, batch: list, cfg: LossConfig,

@@ -227,26 +227,33 @@ class TestBackward:
         assert x.grad == pytest.approx(6.0)
 
 
-def _derived_signature(graph):
+def _derived_signature(graph, kept):
     """Reference: re-derive each non-smooth node's pattern from its input.
 
     The op is read from the backward closure's qualified name, e.g.
-    ``relu.<locals>.<lambda>``.
+    ``relu.<locals>.<lambda>``.  The tape holds no produced tensors, so
+    ``kept`` gives the (input, output) of each relu, abs, clamp and maxpool2
+    node in recording order, as the test itself kept them.
     """
     sig = []
-    for out, inputs, backward_fn, _ in graph.nodes:
+    kept = iter(kept)
+    for _, _, backward_fn, _ in graph.nodes:
         op = backward_fn.__qualname__.split(".")[0]
+        if op not in ("relu", "absolute", "clamp", "maxpool2"):
+            continue
+        tin, tout = next(kept)
         if op == "relu":
-            sig.append(inputs[0].data > 0)
+            sig.append(tin.data > 0)
         elif op == "absolute":
-            sig.append(np.sign(inputs[0].data))
+            sig.append(np.sign(tin.data))
         elif op == "clamp":
-            sig.append(np.equal(inputs[0].data, out.data))
-        elif op == "maxpool2":
-            x = inputs[0].data
+            sig.append(np.equal(tin.data, tout.data))
+        else:
+            x = tin.data
             c, h, w = x.shape
             win = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4)
             sig.append(win.argmax(axis=1))
+    assert next(kept, None) is None
     return sig
 
 
@@ -256,10 +263,15 @@ def test_kink_signature_matches_per_op_derivation(seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal((2, 4, 4)))
     g = Graph()
-    pooled = ops.reshape(g, ops.maxpool2(g, ops.relu(g, x)), (8,))
-    h = ops.absolute(g, ops.sub(g, pooled, Tensor(rng.standard_normal(8))))
-    ops.tsum(g, ops.clamp(g, ops.sigmoid(g, h), 0.6, 0.8))
-    ours, oracle = _kink_signature(g), _derived_signature(g)
+    r = ops.relu(g, x)
+    m = ops.maxpool2(g, r)
+    s = ops.sub(g, ops.reshape(g, m, (8,)), Tensor(rng.standard_normal(8)))
+    h = ops.absolute(g, s)
+    sg = ops.sigmoid(g, h)
+    c = ops.clamp(g, sg, 0.6, 0.8)
+    ops.tsum(g, c)
+    kept = [(x, r), (r, m), (s, h), (sg, c)]
+    ours, oracle = _kink_signature(g), _derived_signature(g, kept)
     assert len(ours) == len(oracle) == 4
     for a, b in zip(ours, oracle):
         assert a.dtype == b.dtype

@@ -1,10 +1,12 @@
 """Batching, SGD updates, determinism, and loss descent on a fixed batch."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from siamverify import (AugmentConfig, Graph, LossConfig, NetworkSpec, TrainConfig,
-                        Tensor, build_network, freeze_prefix, load_params,
+                        Tensor, build_network, freeze_prefix, grad_check, load_params,
                         make_batches, sgd_step, train)
 from siamverify.trainer import NO_AUGMENT, apply_settings, pair_batch_loss, settings_of
 from siamverify.dataset import ImageRecord, PairRecord
@@ -130,6 +132,76 @@ class TestPairBatchLoss:
         assert (got.l_c, got.l_r, got.l_bce, got.l_total) == \
             (want.l_c, want.l_r, want.l_bce, want.l_total)
         assert got_grads == want_grads
+
+
+def _batch8(seed=0):
+    rng = np.random.default_rng(seed)
+    return [(Tensor(rng.random(TINY.input_shape)), Tensor(rng.random(TINY.input_shape)), y)
+            for y in (1, 0) * 4]
+
+
+def _recorded_step(params, batch):
+    """(tape length, loss) of one recorded forward, after its backward ran."""
+    g = Graph()
+    bd = pair_batch_loss(params, batch, LossConfig(w_pos=1.2, w_neg=0.8), g)
+    n = len(g)
+    g.backward(bd.total_node)
+    return n, bd.l_total
+
+
+class TestTape:
+    def test_forward_retains_only_what_backward_reads(self):
+        # B=8, nothing frozen, 1x32x32 inputs: a tape that pins every op's
+        # output and input retained 11.7 MB here; masks, padded conv inputs,
+        # argmaxes and linear inputs alone come to 3.6 MB
+        params, batch = build_network(TINY, seed=0), _batch8()
+        tracemalloc.start()
+        try:
+            g = Graph()
+            bd = pair_batch_loss(params, batch, LossConfig(), g)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(g) > 0 and bd.total_node is not None
+        assert retained < 6_000_000
+
+    def test_frozen_prefix_is_off_the_tape(self):
+        batch = _batch8(1)
+        full = build_network(TINY, seed=3)
+        n_full, loss_full = _recorded_step(full, batch)
+        frozen = freeze_prefix(build_network(TINY, seed=3), 1)
+        n_frozen, loss_frozen = _recorded_step(frozen, batch)
+        assert loss_frozen == loss_full
+        assert n_full - n_frozen == 2 * 2 * len(batch)  # conv1 and its relu, per stream
+        for t, t_full, f in zip(frozen.tensors, full.tensors, frozen.freeze):
+            if f:
+                assert t.grad is None
+            else:
+                assert t.grad.tobytes() == t_full.grad.tobytes()
+
+    def test_non_prefix_mask_records_every_layer(self):
+        batch = _batch8(1)
+        full = build_network(TINY, seed=3)
+        n_full, _ = _recorded_step(full, batch)
+        conv2 = build_network(TINY, seed=3)
+        conv2.freeze = [False, False, True, True] + [False] * (len(conv2.tensors) - 4)
+        n_conv2, _ = _recorded_step(conv2, batch)
+        assert n_conv2 == n_full
+        assert all(t.grad.tobytes() == t_full.grad.tobytes()
+                   for t, t_full in zip(conv2.tensors, full.tensors))
+
+    def test_grad_check_with_frozen_prefix(self):
+        params = freeze_prefix(build_network(TINY, seed=0), 1)
+        rng = np.random.default_rng(0)
+        batch = [(Tensor(rng.random(TINY.input_shape)),
+                  Tensor(rng.random(TINY.input_shape)), y) for y in (1, 0, 1, 0)]
+        live = [t for t, f in zip(params.tensors, params.freeze) if not f]
+        result = grad_check(
+            lambda g: pair_batch_loss(params, batch, LossConfig(margin=0.5), g).total_node,
+            live, eps=1e-5, max_coords_per_tensor=20, seed=0, full_result=True)
+        assert result.max_relative_error < 1e-4
+        assert result.checked > 100
+        assert all(t.grad is None for t in params.frozen_tensors())
 
 
 class TestTrainLoop:
