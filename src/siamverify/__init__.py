@@ -8,7 +8,7 @@ GAR@FAR evaluation harness.
 
 from .dataset import (AugmentConfig, ImageRecord, PairRecord, augment,
                       generate_pairs, load_image, merge_weak_labels,
-                      parse_manifest, split_validation)
+                      parse_manifest)
 from .evaluator import (RocCurve, ScoreSet, accuracy_at, best_accuracy,
                         gar_at_far, metrics_report, roc_curve, run_ablation,
                         score_pairs)
@@ -24,7 +24,7 @@ from .trainer import TrainConfig, TrainLog, make_batches, sgd_step, train
 
 __all__ = [
     "AugmentConfig", "ImageRecord", "PairRecord", "augment", "generate_pairs",
-    "load_image", "merge_weak_labels", "parse_manifest", "split_validation",
+    "load_image", "merge_weak_labels", "parse_manifest",
     "RocCurve", "ScoreSet", "best_accuracy", "gar_at_far", "metrics_report",
     "accuracy_at", "roc_curve", "run_ablation", "score_pairs", "grad_check", "LossBreakdown",
     "LossConfig", "bce_loss", "class_weights", "contrastive_loss",

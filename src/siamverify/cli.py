@@ -1,8 +1,9 @@
 """Command-line entry point: train / eval / pairs / gradcheck / ablate.
 
 Exit codes: 0 success, 1 runtime or numeric error, 2 usage error.  Every run
-writes its fully resolved configuration as JSON next to its outputs.  All
-randomness flows from --seed (default 0, never wall clock).
+writes its fully resolved configuration as JSON next to its outputs, and a
+directory holds one command's record.  All randomness flows from --seed
+(default 0, never wall clock).
 """
 
 from __future__ import annotations
@@ -96,8 +97,19 @@ def _given(args, keys) -> dict:
 
 
 def _write_config(out_dir, config: dict) -> None:
+    """Write ``config``, refusing to replace another command's record."""
+    path = os.path.join(out_dir, "resolved_config.json")
+    if os.path.exists(path):
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                previous = json.load(f)
+        except ValueError:
+            previous = None
+        if not isinstance(previous, dict) or previous.get("command") != config["command"]:
+            raise ConfigError(f"{path} is not a {config['command']!r} record; "
+                              "give each command its own output directory")
     os.makedirs(out_dir, exist_ok=True)
-    with atomic_open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as f:
+    with atomic_open(path, "w", encoding="utf-8") as f:
         json.dump(config, f, indent=2, sort_keys=True)
 
 
@@ -140,11 +152,11 @@ def _cmd_eval(args) -> int:
                 "n_pairs": len(pairs)}
     _write_config(args.out, resolved)
     scores = score_pairs(params, pairs, mode=args.mode)
+    report = json.dumps(metrics_report(scores, args.mode), indent=2)  # rendered before any write
     roc_curve(scores).write_csv(os.path.join(args.out, "roc.csv"))
-    report = metrics_report(scores, args.mode)
     with atomic_open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2)
-    print(json.dumps(report, indent=2))
+        f.write(report)
+    print(report)
     return 0
 
 

@@ -200,19 +200,3 @@ def pair_rng(base_seed: int, epoch: int, pair_index: int) -> np.random.Generator
     """Independent, reproducible stream per (epoch, pair)."""
     return np.random.default_rng(np.random.SeedSequence((base_seed, epoch, pair_index)))
 
-
-def split_validation(records: list[ImageRecord], fraction: float,
-                     seed: int) -> tuple[list[ImageRecord], list[ImageRecord]]:
-    """Identity-disjoint split; deterministic under seed."""
-    if not (0.0 <= fraction < 1.0):
-        raise ConfigError(f"validation fraction {fraction} outside [0, 1)")
-    identities = sorted({r.identity for r in records})
-    rng = np.random.default_rng(seed)
-    rng.shuffle(identities)
-    n_val = int(round(fraction * len(identities)))
-    val_ids = set(identities[:n_val])
-    train = [r for r in records if r.identity not in val_ids]
-    val = [r for r in records if r.identity in val_ids]
-    if records and not train:
-        raise ConfigError("validation fraction leaves the train set empty")
-    return train, val

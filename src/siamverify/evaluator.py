@@ -208,6 +208,7 @@ def run_ablation(grid: list[dict], train_records, eval_records, base_cfg: TrainC
 
 
 def write_ablation_report(rows: list[AblationRow], out_dir):
+    report = json.dumps([r.__dict__ for r in rows], indent=2, default=str)  # before any write
     os.makedirs(str(out_dir), exist_ok=True)
     csv_path = os.path.join(str(out_dir), "ablation.csv")
     with atomic_open(csv_path, "w", encoding="utf-8", newline="") as f:
@@ -220,6 +221,5 @@ def write_ablation_report(rows: list[AblationRow], out_dir):
             acc = "" if r.best_accuracy is None else f"{r.best_accuracy:.12g}"
             cfg = json.dumps(r.config).replace('"', "'")
             writer.writerow([r.label, cfg, acc] + gars + [r.error or ""])
-    json_path = os.path.join(str(out_dir), "ablation.json")
-    with atomic_open(json_path, "w", encoding="utf-8") as f:
-        json.dump([r.__dict__ for r in rows], f, indent=2, default=str)
+    with atomic_open(os.path.join(str(out_dir), "ablation.json"), "w", encoding="utf-8") as f:
+        f.write(report)

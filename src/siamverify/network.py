@@ -14,7 +14,6 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -69,11 +68,6 @@ class NetworkSpec:
             c = out_c
             h, w = h // 2, w // 2
         return c * h * w
-
-    @cached_property
-    def layer_kinds(self) -> tuple[str, ...]:
-        """"conv", "fc" or "head" per weighted layer, in order."""
-        return tuple(k for k, _, _ in self.layer_shapes())
 
     def layer_shapes(self) -> list[tuple[str, tuple, tuple]]:
         """(kind, weight shape, bias shape) per weighted layer, in order."""
@@ -156,11 +150,6 @@ class NetworkParams:
     def frozen_tensors(self) -> list[Tensor]:
         return [t for t, f in zip(self.tensors, self.freeze) if f]
 
-    def layer_params(self):
-        """Iterate (kind, weight tensor, bias tensor) per weighted layer."""
-        for i, kind in enumerate(self.spec.layer_kinds):
-            yield kind, self.tensors[2 * i], self.tensors[2 * i + 1]
-
     def frozen_conv_prefix(self) -> int:
         """Number of leading conv layers whose weight and bias are both frozen."""
         n = 0
@@ -203,21 +192,19 @@ def forward_embedding(params: NetworkParams, x: Tensor, g: Graph | None = None) 
     """
     if x.shape != params.spec.input_shape:
         raise ShapeError(f"input shape {x.shape} != spec {params.spec.input_shape}")
-    layers = list(params.layer_params())
+    t = params.tensors  # layer i's weight and bias are t[2*i], t[2*i + 1]
     n_frozen = params.frozen_conv_prefix()
     h = x
     i = 0
     for _, n_convs in params.spec.stages:
         for _ in range(n_convs):
-            _, w, b = layers[i]
             gi = g if i >= n_frozen else None
-            h = ops.relu(gi, ops.conv2d(gi, h, w, b, stride=1, pad=1))
+            h = ops.relu(gi, ops.conv2d(gi, h, t[2 * i], t[2 * i + 1], stride=1, pad=1))
             i += 1
         h = ops.maxpool2(g if i > n_frozen else None, h)
     h = ops.reshape(g, h, (params.spec.flat_size(),))
     for _ in params.spec.fc:
-        _, w, b = layers[i]
-        h = ops.relu(g, ops.linear(g, h, w, b))
+        h = ops.relu(g, ops.linear(g, h, t[2 * i], t[2 * i + 1]))
         i += 1
     return h
 
@@ -225,13 +212,11 @@ def forward_embedding(params: NetworkParams, x: Tensor, g: Graph | None = None) 
 def forward_head(params: NetworkParams, emb_a: Tensor, emb_b: Tensor,
                  g: Graph | None = None) -> Tensor:
     """Verification head over |embA - embB|; returns a scalar tensor in (0,1)."""
-    layers = list(params.layer_params())
-    head_layers = [lp for lp in layers if lp[0] == "head"]
+    t = params.tensors[-2 * len(params.spec.head):]  # the head layers come last
     h = ops.absolute(g, ops.sub(g, emb_a, emb_b))
-    for _, w, b in head_layers[:-1]:
+    for w, b in zip(t[:-2:2], t[1:-2:2]):
         h = ops.relu(g, ops.linear(g, h, w, b))
-    _, w, b = head_layers[-1]
-    h = ops.sigmoid(g, ops.linear(g, h, w, b))
+    h = ops.sigmoid(g, ops.linear(g, h, t[-2], t[-1]))
     return ops.reshape(g, h, ())
 
 

@@ -36,10 +36,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -80,12 +76,12 @@ class Graph:
     def __len__(self):
         return len(self._nodes)
 
-    def backward(self, output: Tensor, seed: float = 1.0):
+    def backward(self, output: Tensor):
         """Populate leaf grad slots for everything reachable from ``output``.
 
-        ``output`` must be the result of a recorded forward pass; the usual
-        call seeds a scalar loss with 1.  Each node is popped as it runs, so
-        its closure is freed and the tape is empty afterwards.
+        ``output`` must be the result of a recorded forward pass; its gradient
+        is seeded with 1.  Each node is popped as it runs, so its closure is
+        freed and the tape is empty afterwards.
         """
         if not self._nodes:
             raise StateError("backward on an empty tape: nothing recorded, or backward already ran")
@@ -93,7 +89,7 @@ class Graph:
             raise StateError("backward target was not produced by this graph")
 
         # keyed by token for produced tensors, by the tensor itself for leaves
-        grads = {output.token: np.full(output.data.shape, seed, dtype=np.float64)}
+        grads = {output.token: np.ones(output.data.shape)}
         leaves = []
         while self._nodes:
             token, refs, backward_fn, _ = self._nodes.pop()

@@ -1,11 +1,15 @@
-"""The benchmark tracer's view of the program: the names it wraps exist, and
-tracing does not change gradients or kink patterns.
+"""The benchmark's view of the program: the names its tracer wraps exist,
+tracing does not change gradients or kink patterns, and the benchmark command
+runs two workloads to a correct result.
 
 ``perfbench/tracer.py`` is loaded from its file path, not through
 ``sys.path``, because ``perfbench/corpus.py`` would shadow ``tests/corpus.py``.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +18,8 @@ import pytest
 from siamverify import Graph, Tensor, ops
 from siamverify.gradcheck import _kink_signature
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -60,3 +65,14 @@ def test_traced_step_matches_untraced(tracer):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(grads_plain, grads_traced):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("workload", ["train_tiny", "eval_overall"])
+def test_benchmark_command_runs(workload):
+    # eval_vgg_unshared is left out: 1.2 GB and seconds per pair
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", "1", "--seconds", "0", "--trace", "0"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 
 import pytest
 
@@ -149,6 +150,38 @@ class TestTrainEvalRoundTrip:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["epochs"] == 1 and resolved["lr"] == 0.01
         assert resolved["seed"] == 4  # flag wins over file
+
+
+class TestOneRecordPerDirectory:
+    @pytest.mark.parametrize("command", ["pairs", "eval"])
+    def test_other_command_keeps_the_train_record(self, trained, corpus, tmp_path, capsys,
+                                                  command):
+        run = tmp_path / "run"
+        shutil.copytree(trained, run)
+        before = (run / "resolved_config.json").read_bytes()
+        argv = {"pairs": ["pairs", "--manifest", corpus[0], "--protocol", "overall",
+                          "--out", str(run / "pairs.csv")],
+                "eval": ["eval", "--checkpoint", str(run / "checkpoint_final.dgnet"),
+                         "--manifest", corpus[0], "--out", str(run)]}[command]
+        assert main(argv) == 1
+        assert "ConfigError" in capsys.readouterr().err
+        assert (run / "resolved_config.json").read_bytes() == before
+        assert not {"pairs.csv", "roc.csv", "metrics.json"} & set(os.listdir(run))
+
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"command": 1}', "{}"])
+    def test_unrecognised_record_is_kept(self, corpus, tmp_path, capsys, text):
+        (tmp_path / "resolved_config.json").write_text(text)
+        assert main(["pairs", "--manifest", corpus[0], "--protocol", "overall",
+                     "--out", str(tmp_path / "pairs.csv")]) == 1
+        assert "ConfigError" in capsys.readouterr().err
+        assert (tmp_path / "resolved_config.json").read_text() == text
+
+    def test_rerun_of_the_same_command_replaces_its_record(self, corpus, tmp_path, capsys):
+        for protocol in ("obfuscation", "overall"):
+            assert main(["pairs", "--manifest", corpus[0], "--protocol", protocol,
+                         "--out", str(tmp_path / "pairs.csv")]) == 0
+        capsys.readouterr()
+        assert json.loads((tmp_path / "resolved_config.json").read_text())["protocol"] == "overall"
 
 
 class TestAblate:

@@ -1,4 +1,4 @@
-"""Manifest parsing, image loading, pair protocols, augmentation, splitting."""
+"""Manifest parsing, image loading, pair protocols, augmentation."""
 
 import json
 import struct
@@ -6,12 +6,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from siamverify import (AugmentConfig, ImageRecord, augment, generate_pairs,
-                        load_image, merge_weak_labels, parse_manifest,
-                        split_validation)
+                        load_image, merge_weak_labels, parse_manifest)
 from siamverify.dataset import export_pairs_csv, pair_rng, PAIR_CSV_HEADER
 from siamverify.errors import ConfigError, DomainError, FormatError, ManifestError
 from siamverify.images import write_f64, write_pgm, write_ppm
@@ -305,41 +302,3 @@ class TestAugment:
         with pytest.raises(ConfigError):
             AugmentConfig(flip_prob=1.5)
 
-
-class TestSplitValidation:
-    RECORDS = [rec(identity=f"id{i:02d}", path=f"p{i}_{j}")
-               for i in range(10) for j in range(3)]
-
-    def test_identity_disjoint(self):
-        train, val = split_validation(self.RECORDS, 0.3, seed=0)
-        train_ids = {r.identity for r in train}
-        val_ids = {r.identity for r in val}
-        assert not train_ids & val_ids
-        assert len(val_ids) == 3
-        assert len(train) + len(val) == len(self.RECORDS)
-
-    def test_deterministic_and_seed_sensitive(self):
-        a = split_validation(self.RECORDS, 0.3, seed=1)
-        b = split_validation(self.RECORDS, 0.3, seed=1)
-        assert a == b
-        seeds = {tuple(sorted({r.identity for r in split_validation(self.RECORDS, 0.3, s)[1]}))
-                 for s in range(20)}
-        assert len(seeds) > 1
-
-    def test_fraction_zero(self):
-        train, val = split_validation(self.RECORDS, 0.0, seed=0)
-        assert val == [] and len(train) == len(self.RECORDS)
-
-    def test_bad_fraction(self):
-        with pytest.raises(ConfigError):
-            split_validation(self.RECORDS, 1.0, seed=0)
-        with pytest.raises(ConfigError):
-            split_validation(self.RECORDS, -0.1, seed=0)
-
-    @given(st.floats(0.0, 0.9), st.integers(0, 100))
-    @settings(max_examples=50, deadline=None)
-    def test_property_disjoint_partition(self, fraction, seed):
-        train, val = split_validation(self.RECORDS, fraction, seed)
-        assert not {r.identity for r in train} & {r.identity for r in val}
-        assert sorted(train + val, key=lambda r: r.path) == \
-            sorted(self.RECORDS, key=lambda r: r.path)

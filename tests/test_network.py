@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from siamverify import (DEFAULT_FREEZE, NetworkSpec, Tensor, build_network,
-                        forward_embedding, forward_head, freeze_prefix,
+from siamverify import (DEFAULT_FREEZE, LossConfig, NetworkSpec, Tensor, build_network,
+                        forward_embedding, forward_head, freeze_prefix, grad_check,
                         load_params, ops, save_params, siamese_forward)
 from siamverify.errors import ConfigError, FormatError, ShapeError
+from siamverify.trainer import pair_batch_loss
 
 TINY = NetworkSpec.tiny()
 
@@ -86,8 +87,8 @@ class TestBuild:
         params = build_network(TINY, seed=0)
         shapes = TINY.layer_shapes()
         assert len(params.tensors) == 2 * len(shapes)
-        for (kind, w_shape, b_shape), (k2, w, b) in zip(shapes, params.layer_params()):
-            assert kind == k2
+        layers = zip(params.tensors[::2], params.tensors[1::2])
+        for (_, w_shape, b_shape), (w, b) in zip(shapes, layers):
             assert w.shape == w_shape and b.shape == b_shape
             assert np.all(b.data == 0.0)
 
@@ -108,7 +109,8 @@ class TestBuild:
 
     def test_he_uniform_bounds(self):
         params = build_network(TINY, seed=1)
-        for (_, w_shape, _), (_, w, _) in zip(TINY.layer_shapes(), params.layer_params()):
+        layers = zip(params.tensors[::2], params.tensors[1::2])
+        for (_, w_shape, _), (w, _) in zip(TINY.layer_shapes(), layers):
             limit = np.sqrt(6.0 / np.prod(w_shape[1:]))
             assert np.all(np.abs(w.data) <= limit)
 
@@ -169,6 +171,67 @@ class TestForward:
         assert p_ab.shape == ()
         assert p_ab.item() == p_ba.item()
         assert 0.0 < p_ab.item() < 1.0
+
+
+class TestPositionalWalk:
+    """Layer i's weight and bias are ``tensors[2*i]`` and ``tensors[2*i + 1]``."""
+
+    # two hidden head layers, and stages of different widths and depths
+    SPEC = NetworkSpec((1, 8, 8), ((2, 1), (3, 2)), fc=(6, 5), head=(4, 3, 1))
+
+    @staticmethod
+    def reference(spec, params, x_a, x_b):
+        """Plain-numpy siamese forward that walks ``layer_shapes()`` in order."""
+        arrays = iter(t.data for t in params.tensors)
+        layers = {"conv": [], "fc": [], "head": []}
+        for kind, _, _ in spec.layer_shapes():
+            layers[kind].append((next(arrays), next(arrays)))
+
+        def conv3x3(x, w, b):
+            c, h, wd = x.shape
+            xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+            return np.stack([b[o] + sum(w[o, ci, dy, dx] * xp[ci, dy:dy + h, dx:dx + wd]
+                                        for ci in range(c) for dy in range(3) for dx in range(3))
+                             for o in range(len(b))])
+
+        def embed(x):
+            convs = iter(layers["conv"])
+            for _, n_convs in spec.stages:
+                for _ in range(n_convs):
+                    x = np.maximum(conv3x3(x, *next(convs)), 0.0)
+                c, h, wd = x.shape
+                x = x.reshape(c, h // 2, 2, wd // 2, 2).max(axis=(2, 4))
+            x = x.reshape(-1)
+            for w, b in layers["fc"]:
+                x = np.maximum(w @ x + b, 0.0)
+            return x
+
+        emb_a, emb_b = embed(x_a), embed(x_b)
+        h = np.abs(emb_a - emb_b)
+        for w, b in layers["head"][:-1]:
+            h = np.maximum(w @ h + b, 0.0)
+        w, b = layers["head"][-1]
+        return emb_a, emb_b, 1.0 / (1.0 + np.exp(-(w @ h + b)[0]))
+
+    def test_forward_matches_numpy_reference(self):
+        params = build_network(self.SPEC, seed=3)
+        x_a, x_b = rand_input(1, self.SPEC), rand_input(2, self.SPEC)
+        want = self.reference(self.SPEC, params, x_a.data, x_b.data)
+        emb_a, emb_b = forward_embedding(params, x_a), forward_embedding(params, x_b)
+        got = emb_a.data, emb_b.data, forward_head(params, emb_a, emb_b).item()
+        assert want[2] != 0.5 and np.any(want[0] != want[1])  # the walk reaches every layer
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_grad_check_over_every_tensor(self):
+        params = build_network(self.SPEC, seed=3)
+        batch = [(rand_input(2 * k, self.SPEC), rand_input(2 * k + 1, self.SPEC), y)
+                 for k, y in enumerate((1, 0))]
+
+        def loss_fn(g):
+            return pair_batch_loss(params, batch, LossConfig(), g).total_node
+
+        assert grad_check(loss_fn, params.tensors, eps=1e-5) < 1e-4
 
 
 def test_untaped_embedding_peak_is_bounded_by_the_band_budget():

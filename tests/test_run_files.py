@@ -28,7 +28,7 @@ def write_trainlog(out, good):
 def run_eval(out, good):
     manifest, _ = build_corpus(out / "corpus", n_identities=2, seed=3)
     checkpoint = out / "net.dgnet"
-    save_params(build_network(NetworkSpec.tiny(), seed=0), checkpoint)
+    save_params(build_network(NetworkSpec.tiny(), seed=0 if good else 1), checkpoint)
     args = cli._build_parser().parse_args(["eval", "--checkpoint", str(checkpoint),
                                            "--manifest", str(manifest), "--out", str(out)])
     report = cli.metrics_report
@@ -61,7 +61,8 @@ def write_ablation_csv(out, good):
 
 def write_ablation_json(out, good):
     gar_at = {"0.1": 0.5} if good else {"0.1": 0.5, (0, 1): 0.5}  # JSON keys must be strings
-    write_ablation_report([AblationRow("a", {"margin": 0.5}, 0.75, 0.5, gar_at)], out)
+    acc = 0.75 if good else 0.5
+    write_ablation_report([AblationRow("a", {"margin": 0.5}, acc, 0.5, gar_at)], out)
 
 
 RUN_FILES = {
@@ -75,14 +76,18 @@ RUN_FILES = {
     "ablation.json": write_ablation_json,
 }
 
+# Files written by the same run; its failing second run would change them.
+COMPANIONS = {"metrics.json": ["roc.csv"], "ablation.json": ["ablation.csv"]}
+
 
 @pytest.mark.parametrize("name", RUN_FILES)
 def test_failed_write_keeps_previous_file(tmp_path, name):
     RUN_FILES[name](tmp_path, True)
-    before = (tmp_path / name).read_bytes()
+    names = [name, *COMPANIONS.get(name, [])]
+    before = {n: (tmp_path / n).read_bytes() for n in names}
     with pytest.raises((AttributeError, TypeError, ValueError)):
         RUN_FILES[name](tmp_path, False)
-    assert (tmp_path / name).read_bytes() == before
+    assert {n: (tmp_path / n).read_bytes() for n in names} == before
     assert [p.name for p in tmp_path.rglob("*.tmp")] == []
 
 
