@@ -43,6 +43,8 @@ def grad_check(loss_fn, params, eps: float = 1e-5,
     parameter values, recording on the graph when one is given.  Returns the
     worst relative error over all checked coordinates (0 for an empty
     parameter list), or a ``GradCheckResult`` when ``full_result`` is set.
+    Every graph it builds differentiates ``params``, so the base and the
+    perturbed kink signatures come from the same recorded ops.
     ``max_coords_per_tensor`` deterministically subsamples coordinates of
     large tensors; by default every coordinate is checked.
     """
@@ -52,18 +54,16 @@ def grad_check(loss_fn, params, eps: float = 1e-5,
     if not params:
         return GradCheckResult(0.0, 0, 0) if full_result else 0.0
 
-    for p in params:
-        p.grad = None
-    graph = Graph()
+    graph = Graph(params)
     out = loss_fn(graph)
     if out.shape != ():
         raise ConfigError(f"loss_fn must return a scalar, got shape {out.shape}")
     base_sig = _kink_signature(graph)
-    graph.backward(out)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+    grads = graph.backward(out)
+    analytic = [grads[p] if p in grads else np.zeros_like(p.data) for p in params]
 
     def evaluate() -> tuple[float, list[np.ndarray]]:
-        g = Graph()
+        g = Graph(params)
         value = float(loss_fn(g).data)
         return value, _kink_signature(g)
 

@@ -150,14 +150,6 @@ class NetworkParams:
     def frozen_tensors(self) -> list[Tensor]:
         return [t for t, f in zip(self.tensors, self.freeze) if f]
 
-    def frozen_conv_prefix(self) -> int:
-        """Number of leading conv layers whose weight and bias are both frozen."""
-        n = 0
-        while (n < self.spec.conv_layer_count
-               and self.freeze[2 * n] and self.freeze[2 * n + 1]):
-            n += 1
-        return n
-
 
 def build_network(spec: NetworkSpec, seed: int) -> NetworkParams:
     """He-uniform weights, zero biases; deterministic for a fixed seed."""
@@ -184,24 +176,17 @@ def freeze_prefix(params: NetworkParams, k: int) -> NetworkParams:
 
 
 def forward_embedding(params: NetworkParams, x: Tensor, g: Graph | None = None) -> Tensor:
-    """One stream: conv stages -> flatten -> fc1 -> fc2, rectified throughout.
-
-    The leading conv layers whose weight and bias are both frozen, and the
-    maxpool of a stage that is frozen whole, run off the tape: no gradient
-    reaches them, so their frozen tensors keep ``grad=None``.
-    """
+    """One stream: conv stages -> flatten -> fc1 -> fc2, rectified throughout."""
     if x.shape != params.spec.input_shape:
         raise ShapeError(f"input shape {x.shape} != spec {params.spec.input_shape}")
     t = params.tensors  # layer i's weight and bias are t[2*i], t[2*i + 1]
-    n_frozen = params.frozen_conv_prefix()
     h = x
     i = 0
     for _, n_convs in params.spec.stages:
         for _ in range(n_convs):
-            gi = g if i >= n_frozen else None
-            h = ops.relu(gi, ops.conv2d(gi, h, t[2 * i], t[2 * i + 1], stride=1, pad=1))
+            h = ops.relu(g, ops.conv2d(g, h, t[2 * i], t[2 * i + 1], stride=1, pad=1))
             i += 1
-        h = ops.maxpool2(g if i > n_frozen else None, h)
+        h = ops.maxpool2(g, h)
     h = ops.reshape(g, h, (params.spec.flat_size(),))
     for _ in params.spec.fc:
         h = ops.relu(g, ops.linear(g, h, t[2 * i], t[2 * i + 1]))

@@ -1,16 +1,18 @@
 """Dense float64 tensors and the recording tape for reverse-mode gradients.
 
-A ``Graph`` records every primitive application during a forward pass.
-``Graph.backward`` consumes the tape in exact reverse order and accumulates
-gradients into the ``grad`` slot of every leaf it reaches, a leaf being a
-tensor that no node produced.  Intermediate tensors and leaves that no node
-touches keep ``grad=None``.  A tape runs backward once.
+A ``Graph`` is built for a list of leaf tensors to differentiate, its
+``wrt``, and records a primitive application only if one of its inputs is in
+``wrt`` or was produced by a recorded node: an op that no wanted tensor
+reaches leaves nothing on the tape, and its output's token stays ``None``.
+``Graph.backward`` consumes the tape in exact reverse order and returns the
+gradient of every ``wrt`` tensor it reached.  A tape runs backward once.
 
-The tape refers to the tensors it produced by a token, an integer unique in
-the process, and holds references only to leaves; each backward closure keeps
-just the arrays it reads.  An intermediate tensor therefore dies as soon as
-the forward pass drops it, and a tensor made later cannot take its place on
-the tape, as one that reused its ``id()`` could.
+A node keeps a ``wrt`` input by reference, a produced input by its token, an
+integer unique in the process, and no other input; each backward closure
+keeps just the arrays it reads.  An intermediate tensor, an input image or a
+loss constant therefore dies as soon as the forward pass drops it, and a
+tensor made later cannot take its place on the tape, as one that reused its
+``id()`` could.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from .errors import StateError
 
 
 class Tensor:
-    """n-dimensional float64 array with an optional gradient buffer."""
+    """n-dimensional float64 array; ``token`` names it on the tape that produced it."""
 
-    __slots__ = ("data", "grad", "token")
+    __slots__ = ("data", "token")
 
-    def __init__(self, data, grad=None):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None if grad is None else np.asarray(grad, dtype=np.float64)
         self.token = None  # set when a graph records this tensor as an op's output
 
     @property
@@ -40,7 +41,7 @@ class Tensor:
         return float(self.data)
 
     def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), None if self.grad is None else self.grad.copy())
+        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -52,8 +53,9 @@ _tokens = count()
 class Graph:
     """Tape of primitive applications, topologically ordered by construction."""
 
-    def __init__(self):
-        self._nodes = []  # (output token, inputs tuple, backward closure, kink pattern)
+    def __init__(self, wrt):
+        self._wrt = set(wrt)  # tensors hash by identity
+        self._nodes = []  # (output token, input refs, backward closure, kink pattern)
         self._produced = set()  # tokens of this graph's outputs
 
     def record(self, output: Tensor, inputs, backward_fn, pattern=None):
@@ -61,10 +63,14 @@ class Graph:
 
         ``pattern`` is the activation pattern a non-smooth op's backward uses
         (relu mask, abs sign, clamp inside, maxpool argmax); ``None`` if smooth.
-        The node keeps an input this graph produced by its token, any other
-        input (a leaf) by reference.
+        The node keeps an input this graph produced by its token, a ``wrt``
+        input by reference and any other as ``None``; with no input kept,
+        nothing is recorded.
         """
-        refs = tuple(t.token if t.token in self._produced else t for t in inputs)
+        refs = tuple(t.token if t.token in self._produced
+                     else t if t in self._wrt else None for t in inputs)
+        if all(ref is None for ref in refs):
+            return
         output.token = next(_tokens)
         self._produced.add(output.token)
         self._nodes.append((output.token, refs, backward_fn, pattern))
@@ -76,36 +82,30 @@ class Graph:
     def __len__(self):
         return len(self._nodes)
 
-    def backward(self, output: Tensor):
-        """Populate leaf grad slots for everything reachable from ``output``.
+    def backward(self, output: Tensor) -> dict:
+        """Gradients of ``output`` as ``{wrt tensor: array}`` for each one it reaches.
 
-        ``output`` must be the result of a recorded forward pass; its gradient
-        is seeded with 1.  Each node is popped as it runs, so its closure is
-        freed and the tape is empty afterwards.
+        ``output``'s gradient is seeded with 1.  An output that no ``wrt``
+        tensor reaches has no token and gets ``{}``.  Each node is popped as
+        it runs, so its closure is freed and the tape is empty afterwards.
         """
-        if not self._nodes:
-            raise StateError("backward on an empty tape: nothing recorded, or backward already ran")
+        if output.token is None:
+            return {}
         if output.token not in self._produced:
-            raise StateError("backward target was not produced by this graph")
+            raise StateError("backward target was not produced by this graph, "
+                             "or backward already ran")
 
-        # keyed by token for produced tensors, by the tensor itself for leaves
+        # keyed by token for produced tensors, by the tensor itself for wrt ones;
+        # each token is popped at the node that produced it, so the wrt ones remain
         grads = {output.token: np.ones(output.data.shape)}
-        leaves = []
         while self._nodes:
             token, refs, backward_fn, _ = self._nodes.pop()
             g = grads.pop(token, None)
             if g is None:
                 continue
             for ref, gin in zip(refs, backward_fn(g)):
-                if gin is None:
+                if ref is None or gin is None:
                     continue
-                if ref in grads:
-                    grads[ref] = grads[ref] + gin
-                else:
-                    grads[ref] = gin
-                    if isinstance(ref, Tensor):
-                        leaves.append(ref)
+                grads[ref] = grads[ref] + gin if ref in grads else gin
         self._produced.clear()
-        for t in leaves:
-            g = grads[t]
-            t.grad = g if t.grad is None else t.grad + g
+        return grads

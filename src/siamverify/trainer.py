@@ -122,19 +122,21 @@ def make_batches(pairs: list, batch_size: int, seed: int) -> list[list]:
     return [indexed[i:i + batch_size] for i in range(0, len(indexed), batch_size)]
 
 
-def sgd_step(params: NetworkParams, lr: float) -> None:
-    """theta <- theta - lr * grad, in place, for unfrozen tensors; frozen ones untouched.
+def sgd_step(params: NetworkParams, grads: dict, lr: float) -> None:
+    """theta <- theta - lr * grad, in place, for each tensor of ``params`` in ``grads``.
 
-    Every gradient is checked before any tensor moves, so a non-finite
-    gradient leaves all parameters as they were.  The update writes into
-    each ``t.data`` array, so a snapshot of the parameters must be a copy.
+    ``grads`` is what ``Graph.backward`` returns; a tensor it lacks stays as
+    it is.  Every gradient is checked before any tensor moves, so a
+    non-finite gradient leaves all parameters as they were.  The update
+    writes into each ``t.data`` array, so a snapshot of the parameters must
+    be a copy.
     """
     for i, t in enumerate(params.tensors):
-        if t.grad is not None and not np.all(np.isfinite(t.grad)):
+        if t in grads and not np.all(np.isfinite(grads[t])):
             raise NumericError(f"non-finite gradient in parameter tensor {i}")
-    for t, frozen in zip(params.tensors, params.freeze):
-        if t.grad is not None and not frozen:
-            t.data -= lr * t.grad
+    for t in params.tensors:
+        if t in grads:
+            t.data -= lr * grads[t]
 
 
 def pair_batch_loss(params: NetworkParams, batch: list, cfg: LossConfig,
@@ -169,6 +171,7 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
         loss_cfg = replace(cfg.loss, w_pos=w_pos, w_neg=w_neg)
     if cfg.freeze_k is not None:
         freeze_prefix(params, cfg.freeze_k)
+    live = [t for t, frozen in zip(params.tensors, params.freeze) if not frozen]
     log = TrainLog()
     checkpoints = []
     images = {}
@@ -193,14 +196,11 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
                     xa = augment(image(pair.a), cfg.augment, rng)
                     xb = augment(image(pair.b), cfg.augment, rng)
                     inputs.append((xa, xb, pair.y))
-                g = Graph()
+                g = Graph(live)
                 bd = pair_batch_loss(params, inputs, loss_cfg, g)
                 if not np.isfinite(bd.l_total):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
-                for t in params.tensors:
-                    t.grad = None
-                g.backward(bd.total_node)
-                sgd_step(params, cfg.lr)
+                sgd_step(params, g.backward(bd.total_node), cfg.lr)
                 n = len(batch)
                 sums += np.array([bd.l_c, bd.l_r, bd.l_bce, bd.l_total]) * n
                 labels = np.array([pair.y for _, pair in batch])

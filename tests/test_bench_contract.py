@@ -1,6 +1,6 @@
 """The benchmark's view of the program: the names its tracer wraps exist,
 tracing does not change gradients or kink patterns, and the benchmark command
-runs two workloads to a correct result.
+runs two workloads to a correct result, one of them traced as well.
 
 ``perfbench/tracer.py`` is loaded from its file path, not through
 ``sys.path``, because ``perfbench/corpus.py`` would shadow ``tests/corpus.py``.
@@ -45,12 +45,12 @@ def _relu_pool_step():
     x = Tensor(rng.standard_normal((2, 4, 4)))
     k = Tensor(rng.standard_normal((2, 2, 3, 3)))
     b = Tensor(rng.standard_normal(2))
-    g = Graph()
+    g = Graph([x, k, b])
     y = ops.maxpool2(g, ops.relu(g, ops.conv2d(g, x, k, b, 1, 1)))
     loss = ops.tsum(g, ops.mul(g, y, y))
     sig = _kink_signature(g)
-    g.backward(loss)
-    return sig, [t.grad for t in (x, k, b)]
+    grads = g.backward(loss)
+    return sig, [grads[t] for t in (x, k, b)]
 
 
 def test_traced_step_matches_untraced(tracer):
@@ -67,11 +67,16 @@ def test_traced_step_matches_untraced(tracer):
         np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("workload", ["train_tiny", "eval_overall"])
-def test_benchmark_command_runs(workload):
+@pytest.mark.parametrize("workload,trace", [
+    pytest.param("train_tiny", "0", id="train_tiny"),
+    pytest.param("eval_overall", "0", id="eval_overall"),
+    # traced rounds replace Graph.record and Graph.backward with the tracer's wrappers
+    pytest.param("train_tiny", "1", id="train_tiny-trace"),
+])
+def test_benchmark_command_runs(workload, trace):
     # eval_vgg_unshared is left out: 1.2 GB and seconds per pair
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", "1", "--seconds", "0", "--trace", "0"],
+                           "--seed", "1", "--seconds", "0", "--trace", trace],
                           cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])

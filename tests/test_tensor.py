@@ -1,6 +1,7 @@
 """Tensor core: forward primitives, backward pass, finite-difference checks."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -94,12 +95,12 @@ class TestConv2dBands:
             # 2, 3: the last band is shorter wherever ho is no multiple of rows
             monkeypatch.setattr(ops, "_COLS_BYTES", rows * 8 * 2 * 3 * 3 * wo)
         x, k, b = Tensor(xv), Tensor(kv), Tensor(bv)
-        g = Graph()
+        g = Graph([x, k, b])
         out = ops.conv2d(g, x, k, b, stride=stride, pad=pad)
         go = rng.standard_normal(out.shape)
-        g.backward(ops.tsum(g, ops.mul(g, out, Tensor(go))))
+        grads = g.backward(ops.tsum(g, ops.mul(g, out, Tensor(go))))
         want = _whole_layer_conv(xv, kv, bv, stride, pad, go)
-        for got, ref in zip((out.data, x.grad, k.grad, b.grad), want):
+        for got, ref in zip((out.data, grads[x], grads[k], grads[b]), want):
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
 
@@ -108,7 +109,7 @@ class TestConv2dBands:
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((64, 64, 64)))
         k, b = Tensor(rng.standard_normal((64, 64, 3, 3))), Tensor(np.zeros(64))
-        g = Graph()
+        g = Graph([x, k, b])
         tracemalloc.start()
         try:
             out = ops.conv2d(g, x, k, b, stride=1, pad=1)
@@ -116,8 +117,8 @@ class TestConv2dBands:
         finally:
             tracemalloc.stop()
         assert retained < 2 * (64 * 66 * 66 * 8)
-        g.backward(ops.tsum(g, out))
-        assert x.grad.shape == x.shape and k.grad.shape == k.shape
+        grads = g.backward(ops.tsum(g, out))
+        assert grads[x].shape == x.shape and grads[k].shape == k.shape
 
 
 class TestPrimitives:
@@ -169,62 +170,79 @@ class TestPrimitives:
 class TestBackward:
     def test_square_gradient(self):
         x = Tensor(3.0)
-        g = Graph()
+        g = Graph([x])
         y = ops.mul(g, x, x)
-        g.backward(y)
-        assert x.grad == pytest.approx(6.0)
+        assert g.backward(y)[x] == pytest.approx(6.0)
 
     def test_constant_gradient_zero(self):
         x = Tensor(2.0)
-        g = Graph()
+        g = Graph([x])
         y = ops.mul(g, x, Tensor(0.0))
-        g.backward(y)
-        assert x.grad == pytest.approx(0.0)
+        assert g.backward(y)[x] == pytest.approx(0.0)
 
     def test_sigmoid_gradient_at_zero(self):
         x = Tensor(0.0)
-        g = Graph()
+        g = Graph([x])
         y = ops.sigmoid(g, x)
-        g.backward(y)
-        assert x.grad == pytest.approx(0.25)
+        assert g.backward(y)[x] == pytest.approx(0.25)
 
-    def test_backward_before_forward_raises(self):
-        with pytest.raises(StateError):
-            Graph().backward(Tensor(1.0))
+    def test_backward_on_unrecorded_output_returns_nothing(self):
+        assert Graph([]).backward(Tensor(1.0)) == {}
+        x = Tensor(2.0)
+        g = Graph([x])
+        y = ops.mul(g, Tensor(3.0), Tensor(4.0))  # no wanted tensor reaches y
+        assert y.token is None and len(g) == 0
+        assert g.backward(y) == {}
 
     def test_backward_foreign_tensor_raises(self):
-        g = Graph()
-        ops.mul(g, Tensor(1.0), Tensor(2.0))
+        x = Tensor(1.0)
+        g, other = Graph([x]), Graph([x])
+        ops.mul(g, x, Tensor(2.0))
         with pytest.raises(StateError):
-            g.backward(Tensor(5.0))
+            g.backward(ops.mul(other, x, Tensor(5.0)))
+        with pytest.raises(StateError):  # an empty tape is no exception
+            Graph([x]).backward(ops.mul(other, x, Tensor(5.0)))
 
     def test_shared_input_accumulates(self):
         x = Tensor(2.0)
-        g = Graph()
+        g = Graph([x])
         y = ops.add(g, ops.mul(g, x, x), ops.mul(g, x, Tensor(3.0)))
-        g.backward(y)
-        assert x.grad == pytest.approx(7.0)  # 2x + 3
+        assert g.backward(y)[x] == pytest.approx(7.0)  # 2x + 3
 
     def test_backward_consumes_tape_and_writes_leaves_only(self):
         x, w, b = Tensor([1.0, -2.0]), Tensor([[0.5, 1.5], [-1.0, 2.0]]), Tensor([0.1, 0.2])
-        g = Graph()
+        g = Graph([w, b])
         h = ops.linear(g, x, w, b)
         r = ops.relu(g, h)
         loss = ops.tsum(g, r)
-        g.backward(loss)
+        grads = g.backward(loss)
         assert len(g) == 0
-        assert h.grad is None and r.grad is None and loss.grad is None
-        np.testing.assert_array_equal(w.grad, np.outer(h.data > 0, x.data))
-        np.testing.assert_array_equal(b.grad, (h.data > 0).astype(float))
+        assert set(grads) == {w, b}  # nothing for x, h, r or loss
+        np.testing.assert_array_equal(grads[w], np.outer(h.data > 0, x.data))
+        np.testing.assert_array_equal(grads[b], (h.data > 0).astype(float))
+
+    def test_unwanted_input_dies_with_the_caller(self):
+        # the tape keeps the conv's padded copy of the image, never the image
+        # itself; a Tensor takes no weak reference, so the test watches its array
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((2, 6, 6)))
+        w, b = Tensor(rng.standard_normal((3, 2, 3, 3))), Tensor(np.zeros(3))
+        g = Graph([w])
+        out = ops.conv2d(g, x, w, b, stride=1, pad=1)
+        image = weakref.ref(x.data)
+        del x
+        assert image() is None
+        assert len(g) == 1
+        assert set(g.backward(ops.tsum(g, out))) == {w}
 
     def test_second_backward_raises(self):
         x = Tensor(3.0)
-        g = Graph()
+        g = Graph([x])
         y = ops.mul(g, x, x)
-        g.backward(y)
+        grads = g.backward(y)
         with pytest.raises(StateError):
             g.backward(y)
-        assert x.grad == pytest.approx(6.0)
+        assert grads[x] == pytest.approx(6.0)
 
 
 def _derived_signature(graph, kept):
@@ -262,7 +280,7 @@ def test_kink_signature_matches_per_op_derivation(seed):
     # continuous random inputs never land exactly on a clamp bound
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal((2, 4, 4)))
-    g = Graph()
+    g = Graph([x])
     r = ops.relu(g, x)
     m = ops.maxpool2(g, r)
     s = ops.sub(g, ops.reshape(g, m, (8,)), Tensor(rng.standard_normal(8)))
@@ -342,11 +360,9 @@ class TestGradCheck:
         err_clean = grad_check(loss_fn, [w], eps=1e-5)
         assert err_clean < 1e-6
         # corrupt analytic grads by x1.1 and re-measure via manual comparison
-        g = Graph()
-        w.grad = None
+        g = Graph([w])
         out = loss_fn(g)
-        g.backward(out)
-        corrupted = w.grad * 1.1
+        corrupted = g.backward(out)[w] * 1.1
         flat = w.data.reshape(-1)
         worst = 0.0
         for i in range(flat.size):
@@ -363,6 +379,13 @@ class TestGradCheck:
 
     def test_empty_params_zero(self):
         assert grad_check(lambda g: Tensor(1.0), [], eps=1e-5) == 0.0
+
+    @pytest.mark.parametrize("loss_fn", [
+        lambda g: Tensor(1.0),  # nothing recorded
+        lambda g: ops.tsum(g, ops.mul(g, Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))),
+    ])
+    def test_unreached_params_zero(self, loss_fn):
+        assert grad_check(loss_fn, [Tensor([5.0])], eps=1e-5) == 0.0
 
     def test_eps_out_of_range(self):
         with pytest.raises(ConfigError):

@@ -65,41 +65,39 @@ class TestSgdStep:
         params = build_network(TINY, seed=0)
         t = params.tensors[0]
         before = t.data.copy()
-        t.grad = np.ones_like(t.data)
-        sgd_step(params, lr=1e-3)
+        sgd_step(params, {t: np.ones_like(t.data)}, lr=1e-3)
         assert np.allclose(t.data, before - 1e-3)
 
     def test_frozen_tensor_untouched(self):
+        # a frozen tensor is not differentiated, so the step has no gradient for it
         params = freeze_prefix(build_network(TINY, seed=0), 1)
         frozen, live = params.tensors[0], params.tensors[2]
         f_before, l_before = frozen.data.copy(), live.data.copy()
-        for t in (frozen, live):
-            t.grad = np.ones_like(t.data)
-        sgd_step(params, lr=0.5)
+        _, _, grads = _recorded_step(params, _batch8()[:2])
+        sgd_step(params, grads, lr=0.5)
         assert np.array_equal(frozen.data, f_before)
         assert not np.array_equal(live.data, l_before)
 
     def test_none_grad_skipped(self):
         params = build_network(TINY, seed=0)
         before = [t.data.copy() for t in params.tensors]
-        sgd_step(params, lr=1.0)
+        sgd_step(params, {}, lr=1.0)
         assert all(np.array_equal(t.data, b) for t, b in zip(params.tensors, before))
 
     def test_nonfinite_grad_names_tensor(self):
         params = build_network(TINY, seed=0)
-        params.tensors[3].grad = np.full(params.tensors[3].shape, np.nan)
+        t = params.tensors[3]
         with pytest.raises(NumericError, match="tensor 3"):
-            sgd_step(params, lr=1e-3)
+            sgd_step(params, {t: np.full(t.shape, np.nan)}, lr=1e-3)
 
 
     def test_nonfinite_grad_leaves_every_tensor_unchanged(self):
         params = build_network(TINY, seed=0)
-        for t in params.tensors:
-            t.grad = np.ones_like(t.data)
-        params.tensors[3].grad[0] = np.nan
+        grads = {t: np.ones_like(t.data) for t in params.tensors}
+        grads[params.tensors[3]][0] = np.nan
         before = [t.data.copy() for t in params.tensors]
         with pytest.raises(NumericError, match="tensor 3"):
-            sgd_step(params, lr=1e-3)
+            sgd_step(params, grads, lr=1e-3)
         assert all(t.data.tobytes() == b.tobytes() for t, b in zip(params.tensors, before))
 
 
@@ -113,10 +111,10 @@ class TestPairBatchLoss:
 
         def grads(loss_fn):
             params = build_network(TINY, seed=3)
-            g = Graph()
+            g = Graph(params.tensors)
             bd = loss_fn(params, g)
-            g.backward(bd.total_node)
-            return bd, [t.grad.tobytes() for t in params.tensors]
+            got = g.backward(bd.total_node)
+            return bd, [got[t].tobytes() for t in params.tensors]
 
         def inline(params, g):
             d, p = [], []
@@ -141,12 +139,11 @@ def _batch8(seed=0):
 
 
 def _recorded_step(params, batch):
-    """(tape length, loss) of one recorded forward, after its backward ran."""
-    g = Graph()
+    """(tape length, loss, gradients) of one forward and backward over the unfrozen tensors."""
+    g = Graph([t for t, f in zip(params.tensors, params.freeze) if not f])
     bd = pair_batch_loss(params, batch, LossConfig(w_pos=1.2, w_neg=0.8), g)
     n = len(g)
-    g.backward(bd.total_node)
-    return n, bd.l_total
+    return n, bd.l_total, g.backward(bd.total_node)
 
 
 class TestTape:
@@ -157,7 +154,7 @@ class TestTape:
         params, batch = build_network(TINY, seed=0), _batch8()
         tracemalloc.start()
         try:
-            g = Graph()
+            g = Graph(params.tensors)
             bd = pair_batch_loss(params, batch, LossConfig(), g)
             retained, _ = tracemalloc.get_traced_memory()
         finally:
@@ -168,27 +165,37 @@ class TestTape:
     def test_frozen_prefix_is_off_the_tape(self):
         batch = _batch8(1)
         full = build_network(TINY, seed=3)
-        n_full, loss_full = _recorded_step(full, batch)
+        n_full, loss_full, grads_full = _recorded_step(full, batch)
         frozen = freeze_prefix(build_network(TINY, seed=3), 1)
-        n_frozen, loss_frozen = _recorded_step(frozen, batch)
+        n_frozen, loss_frozen, grads = _recorded_step(frozen, batch)
         assert loss_frozen == loss_full
         assert n_full - n_frozen == 2 * 2 * len(batch)  # conv1 and its relu, per stream
         for t, t_full, f in zip(frozen.tensors, full.tensors, frozen.freeze):
             if f:
-                assert t.grad is None
+                assert t not in grads
             else:
-                assert t.grad.tobytes() == t_full.grad.tobytes()
+                assert grads[t].tobytes() == grads_full[t_full].tobytes()
 
-    def test_non_prefix_mask_records_every_layer(self):
+    def test_non_prefix_mask_records_every_layer(self, tmp_path):
+        # conv2 frozen alone: the tape still runs through it to conv1, which
+        # trains, but conv2 itself gets no gradient and no update
         batch = _batch8(1)
         full = build_network(TINY, seed=3)
-        n_full, _ = _recorded_step(full, batch)
+        n_full, _, grads_full = _recorded_step(full, batch)
         conv2 = build_network(TINY, seed=3)
         conv2.freeze = [False, False, True, True] + [False] * (len(conv2.tensors) - 4)
-        n_conv2, _ = _recorded_step(conv2, batch)
+        n_conv2, _, grads = _recorded_step(conv2, batch)
         assert n_conv2 == n_full
-        assert all(t.grad.tobytes() == t_full.grad.tobytes()
-                   for t, t_full in zip(conv2.tensors, full.tensors))
+        assert len(grads) == len(conv2.tensors) - 2
+        for t, t_full, f in zip(conv2.tensors, full.tensors, conv2.freeze):
+            if f:
+                assert t not in grads
+            else:
+                assert grads[t].tobytes() == grads_full[t_full].tobytes()
+        before = [t.data.copy() for t in conv2.tensors]
+        train(conv2, make_pairs(tmp_path, 2, 2), fast_cfg(epochs=1))
+        assert all(conv2.tensors[i].data.tobytes() == before[i].tobytes() for i in (2, 3))
+        assert not np.array_equal(conv2.tensors[0].data, before[0])
 
     def test_grad_check_with_frozen_prefix(self):
         params = freeze_prefix(build_network(TINY, seed=0), 1)
@@ -196,12 +203,19 @@ class TestTape:
         batch = [(Tensor(rng.random(TINY.input_shape)),
                   Tensor(rng.random(TINY.input_shape)), y) for y in (1, 0, 1, 0)]
         live = [t for t, f in zip(params.tensors, params.freeze) if not f]
-        result = grad_check(
-            lambda g: pair_batch_loss(params, batch, LossConfig(margin=0.5), g).total_node,
-            live, eps=1e-5, max_coords_per_tensor=20, seed=0, full_result=True)
+        tape_lengths = set()
+
+        def loss_fn(g):
+            out = pair_batch_loss(params, batch, LossConfig(margin=0.5), g).total_node
+            tape_lengths.add(len(g))
+            return out
+
+        result = grad_check(loss_fn, live, eps=1e-5, max_coords_per_tensor=20, seed=0,
+                            full_result=True)
         assert result.max_relative_error < 1e-4
         assert result.checked > 100
-        assert all(t.grad is None for t in params.frozen_tensors())
+        # every graph grad_check builds leaves the frozen prefix off its tape
+        assert tape_lengths == {_recorded_step(params, batch)[0]}
 
 
 class TestTrainLoop:
@@ -283,6 +297,18 @@ class TestTrainLoop:
                    for t, b in zip(params.tensors[-4:], head_before))
         assert not np.array_equal(params.tensors[0].data, conv_before)
         assert all(r.l_r == 0.0 and r.l_bce == 0.0 for r in log.rows)
+
+    def test_all_frozen_mask_runs_without_update(self, tmp_path):
+        params = build_network(TINY, seed=0)
+        params.freeze = [True] * len(params.tensors)
+        before = [t.data.tobytes() for t in params.tensors]
+        out = tmp_path / "run"
+        out.mkdir()
+        _, log, checkpoints = train(params, make_pairs(tmp_path, 2, 2), fast_cfg(epochs=1),
+                                    out_dir=out)
+        assert len(log.rows) == 1
+        saved = load_params(checkpoints[-1], expect_spec=TINY)
+        assert [t.data.tobytes() for t in saved.tensors] == before
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ConfigError):
