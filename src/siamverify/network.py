@@ -147,9 +147,6 @@ class NetworkParams:
         if not self.freeze:
             self.freeze = [False] * len(self.tensors)
 
-    def frozen_tensors(self) -> list[Tensor]:
-        return [t for t, f in zip(self.tensors, self.freeze) if f]
-
 
 def build_network(spec: NetworkSpec, seed: int) -> NetworkParams:
     """He-uniform weights, zero biases; deterministic for a fixed seed."""

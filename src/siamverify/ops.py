@@ -15,7 +15,9 @@ a layer whose columns fit is one band.  A band's gemm may round differently
 from a whole-layer gemm in the last bits, wherever the band starts; a one-band
 layer is unaffected.  On the tape a conv keeps its padded input (the input
 itself when ``pad=0``), not its columns; its backward rebuilds the whole column
-matrix once.
+matrix once.  Backward returns ``None`` for an input the tape does not keep
+(``Graph.keeps``), such as an image or a frozen prefix's output, and skips
+that input's gradient gemm and col2im.
 """
 
 from __future__ import annotations
@@ -209,12 +211,15 @@ def conv2d(g, x, kernels, bias, stride: int = 1, pad: int = 0) -> Tensor:
     out = Tensor(y.reshape(cout, ho, wo))
 
     kshape = kernels.shape
+    want_dx = g is not None and g.keeps(x)
 
     def backward(go):
         cols = _im2col(xp, kh, kw, stride, ho, wo)
         gmat = go.reshape(cout, -1)
         dk = (gmat @ cols.T).reshape(kshape)
         db = gmat.sum(axis=1)
+        if not want_dx:
+            return (None, dk, db)
         dxp = _col2im(kmat.T @ gmat, cin, hp, wp, kh, kw, stride, ho, wo)
         dx = dxp[:, pad:pad + h, pad:pad + w] if pad else dxp
         return (dx, dk, db)

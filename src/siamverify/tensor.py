@@ -1,9 +1,10 @@
 """Dense float64 tensors and the recording tape for reverse-mode gradients.
 
 A ``Graph`` is built for a list of leaf tensors to differentiate, its
-``wrt``, and records a primitive application only if one of its inputs is in
-``wrt`` or was produced by a recorded node: an op that no wanted tensor
-reaches leaves nothing on the tape, and its output's token stays ``None``.
+``wrt``, and records a primitive application only if it keeps one of its
+inputs (``Graph.keeps``): one in ``wrt`` or produced by a recorded node.  An
+op that no wanted tensor reaches leaves nothing on the tape, and its output's
+token stays ``None``.
 ``Graph.backward`` consumes the tape in exact reverse order and returns the
 gradient of every ``wrt`` tensor it reached.  A tape runs backward once.
 
@@ -58,6 +59,10 @@ class Graph:
         self._nodes = []  # (output token, input refs, backward closure, kink pattern)
         self._produced = set()  # tokens of this graph's outputs
 
+    def keeps(self, t: Tensor) -> bool:
+        """Whether a node would keep ``t``: it is in ``wrt`` or this graph produced it."""
+        return t.token in self._produced or t in self._wrt
+
     def record(self, output: Tensor, inputs, backward_fn, pattern=None):
         """Append a node; ``backward_fn(grad_out) -> per-input grads (or None)``.
 
@@ -67,8 +72,8 @@ class Graph:
         input by reference and any other as ``None``; with no input kept,
         nothing is recorded.
         """
-        refs = tuple(t.token if t.token in self._produced
-                     else t if t in self._wrt else None for t in inputs)
+        refs = tuple((t.token if t.token in self._produced else t) if self.keeps(t) else None
+                     for t in inputs)
         if all(ref is None for ref in refs):
             return
         output.token = next(_tokens)

@@ -55,7 +55,7 @@ def trained_model(corpus_manifest):
     cfg = TrainConfig(lr=1e-3, epochs=130, batch_size=4,
                       loss=LossConfig(margin=0.5), augment=aug, seed=0)
     params = freeze_prefix(build_network(TINY, seed=0), 1)
-    frozen_before = [t.data.copy() for t in params.frozen_tensors()]
+    frozen_before = [t.data.copy() for t, f in zip(params.tensors, params.freeze) if f]
     t0 = time.perf_counter()
     params, log, _ = train(params, train_pairs, cfg)
     seconds = time.perf_counter() - t0
@@ -317,8 +317,9 @@ def test_acceptance_7_invariance_suite(trained_model, corpus_manifest, tmp_path)
     def body():
         params, _, _, _, frozen_before = trained_model
         # frozen parameters bitwise unchanged by 130 epochs of training
+        frozen = [t for t, f in zip(params.tensors, params.freeze) if f]
         assert all(np.array_equal(t.data, before)
-                   for t, before in zip(params.frozen_tensors(), frozen_before))
+                   for t, before in zip(frozen, frozen_before))
 
         # tied weights: identical inputs give identical embeddings, d = 0
         rng = np.random.default_rng(3)

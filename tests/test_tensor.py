@@ -120,6 +120,31 @@ class TestConv2dBands:
         grads = g.backward(ops.tsum(g, out))
         assert grads[x].shape == x.shape and grads[k].shape == k.shape
 
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_unkept_input_gets_no_gradient(self, monkeypatch, pad):
+        # an input the tape does not keep gets None from the closure, and its
+        # gemm and col2im are skipped; the kernel and bias gradients keep their bytes
+        rng = np.random.default_rng(pad)
+        xv, kv, bv = (rng.standard_normal((2, 7, 7)), rng.standard_normal((3, 2, 3, 3)),
+                      rng.standard_normal(3))
+        go = rng.standard_normal((3, 5 + 2 * pad, 5 + 2 * pad))
+        calls = []
+        col2im = ops._col2im
+        monkeypatch.setattr(ops, "_col2im", lambda *a: calls.append(a) or col2im(*a))
+
+        def closure_grads(wrt_x):
+            x, k, b = Tensor(xv), Tensor(kv), Tensor(bv)
+            g = Graph([x, k, b] if wrt_x else [k, b])
+            ops.conv2d(g, x, k, b, stride=1, pad=pad)
+            (_, _, backward_fn, _), = g.nodes
+            return backward_fn(go)
+
+        dx, dk, db = closure_grads(False)
+        assert dx is None and not calls
+        want_dx, want_dk, want_db = closure_grads(True)
+        assert want_dx.shape == xv.shape and len(calls) == 1
+        assert dk.tobytes() == want_dk.tobytes() and db.tobytes() == want_db.tobytes()
+
 
 class TestPrimitives:
     def test_relu_definition(self):

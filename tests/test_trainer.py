@@ -138,9 +138,10 @@ def _batch8(seed=0):
             for y in (1, 0) * 4]
 
 
-def _recorded_step(params, batch):
-    """(tape length, loss, gradients) of one forward and backward over the unfrozen tensors."""
-    g = Graph([t for t, f in zip(params.tensors, params.freeze) if not f])
+def _recorded_step(params, batch, also=()):
+    """(tape length, loss, gradients) of one forward and backward over the
+    unfrozen tensors and the tensors in ``also``."""
+    g = Graph([t for t, f in zip(params.tensors, params.freeze) if not f] + list(also))
     bd = pair_batch_loss(params, batch, LossConfig(w_pos=1.2, w_neg=0.8), g)
     n = len(g)
     return n, bd.l_total, g.backward(bd.total_node)
@@ -175,6 +176,21 @@ class TestTape:
                 assert t not in grads
             else:
                 assert grads[t].tobytes() == grads_full[t_full].tobytes()
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_skipped_input_gradients_move_no_bit(self, k):
+        # with the images in wrt every conv computes its input's gradient; without
+        # them the first recorded conv skips it, and no unfrozen gradient may move
+        batch = _batch8(2)
+        params = freeze_prefix(build_network(TINY, seed=4), k)
+        _, _, grads = _recorded_step(params, batch)
+        images = [x for xa, xb, _ in batch for x in (xa, xb)]
+        _, _, forced = _recorded_step(params, batch, also=images)
+        assert all(forced[x].shape == x.shape for x in images)
+        live = [t for t, f in zip(params.tensors, params.freeze) if not f]
+        assert set(grads) == set(live)
+        for t in live:
+            assert grads[t].tobytes() == forced[t].tobytes()
 
     def test_non_prefix_mask_records_every_layer(self, tmp_path):
         # conv2 frozen alone: the tape still runs through it to conv1, which
@@ -268,11 +284,11 @@ class TestTrainLoop:
     def test_frozen_tensors_bitwise_after_training(self, tmp_path):
         pairs = make_pairs(tmp_path, 3, 3)
         params = freeze_prefix(build_network(TINY, seed=0), 2)
-        frozen_before = [t.data.copy() for t in params.frozen_tensors()]
+        frozen_before = [t.data.copy() for t, f in zip(params.tensors, params.freeze) if f]
         live_before = params.tensors[-2].data.copy()
         params, _, _ = train(params, pairs, fast_cfg(epochs=2))
-        assert all(np.array_equal(t.data, b)
-                   for t, b in zip(params.frozen_tensors(), frozen_before))
+        frozen = [t for t, f in zip(params.tensors, params.freeze) if f]
+        assert all(np.array_equal(t.data, b) for t, b in zip(frozen, frozen_before))
         assert not np.array_equal(params.tensors[-2].data, live_before)
 
     def test_loss_decreases_on_fixed_batch(self, tmp_path):
