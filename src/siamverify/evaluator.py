@@ -21,10 +21,12 @@ from .atomic import atomic_open
 from .dataset import PairRecord, generate_pairs, load_image, merge_weak_labels
 from .errors import ConfigError, DomainError
 from .network import NetworkParams, build_network, forward_embedding, forward_head
+from .tensor import Tensor
 from .trainer import TrainConfig, apply_settings, train
 
 DEFAULT_FAR_TARGETS = (0.001, 0.01, 0.1)
 SCORE_MODES = ("head", "cosine")
+_BLOCK_PAIRS = 128  # pairs per head or cosine pass of score_pairs; bounds its row arrays
 
 
 @dataclass(frozen=True)
@@ -79,31 +81,35 @@ def score_pairs(params: NetworkParams, pairs: list[PairRecord],
                 mode: str = "head") -> ScoreSet:
     """Score each pair with the head sigmoid or raw embedding cosine.
 
-    Each distinct image is loaded and embedded once; the head or cosine then
-    runs per pair on the stored embeddings.
+    Each distinct image is loaded and embedded once into a row of an
+    (images, fc2) matrix.  The head or cosine then runs once per block of
+    ``_BLOCK_PAIRS`` pairs on their a-side and b-side rows; each score has
+    the bits of its pair scored alone.
     """
     if mode not in SCORE_MODES:
         raise ConfigError(f"unknown scoring mode {mode!r}")
     if not pairs:
         raise ConfigError("no pairs to score")
     target = params.spec.input_shape
-    embeddings = {}
+    row_of, embeddings = {}, []
 
-    def embed(rec):
+    def row(rec):
         key = (rec.identity, rec.path)
-        if key not in embeddings:
-            embeddings[key] = forward_embedding(params, load_image(rec, target))
-        return embeddings[key]
+        if key not in row_of:
+            row_of[key] = len(embeddings)
+            embeddings.append(forward_embedding(params, load_image(rec, target)).data)
+        return row_of[key]
 
-    genuine, impostor = [], []
-    for pair in pairs:
-        emb_a, emb_b = embed(pair.a), embed(pair.b)
-        if mode == "head":
-            score = forward_head(params, emb_a, emb_b).item()
-        else:
-            score = losses.cosine_similarity(emb_a, emb_b).item()
-        (genuine if pair.y == 1 else impostor).append(score)
-    return ScoreSet(np.array(genuine), np.array(impostor))
+    rows = np.array([(row(pair.a), row(pair.b)) for pair in pairs])
+    emb = np.stack(embeddings)
+    scores = np.empty(len(pairs))
+    for s in range(0, len(pairs), _BLOCK_PAIRS):
+        block = rows[s:s + _BLOCK_PAIRS]
+        a, b = Tensor(emb[block[:, 0]]), Tensor(emb[block[:, 1]])
+        score = forward_head(params, a, b) if mode == "head" else losses.cosine_similarity(a, b)
+        scores[s:s + _BLOCK_PAIRS] = score.data
+    genuine = np.array([pair.y == 1 for pair in pairs])
+    return ScoreSet(scores[genuine], scores[~genuine])
 
 
 def roc_curve(s: ScoreSet) -> RocCurve:

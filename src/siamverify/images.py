@@ -1,4 +1,4 @@
-"""Image file I/O and resampling helpers.
+"""Image file reading and resampling helpers.
 
 Supported formats: binary PGM (P5) / PPM (P6) with maxval 255, and a raw
 float64 tensor format (``.f64``: three little-endian u32 for C,H,W followed
@@ -11,7 +11,6 @@ import struct
 
 import numpy as np
 
-from .atomic import atomic_open
 from .errors import FormatError
 
 F64_SUFFIX = ".f64"
@@ -85,36 +84,6 @@ def _decode_f64(raw: bytes) -> np.ndarray:
 def _check_dims(c: int, h: int, w: int) -> None:
     if min(c, h, w) <= 0:
         raise FormatError(f"image dimensions must be positive, got {c}x{h}x{w}")
-
-
-def write_pgm(path, img: np.ndarray) -> None:
-    """Write a 1xHxW (or HxW) [0,1] image as binary PGM."""
-    img = np.asarray(img)
-    if img.ndim == 3:
-        img = img[0]
-    h, w = img.shape
-    pixels = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    with atomic_open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(pixels.tobytes())
-
-
-def write_ppm(path, img: np.ndarray) -> None:
-    """Write a 3xHxW [0,1] image as binary PPM."""
-    img = np.asarray(img)
-    _, h, w = img.shape
-    pixels = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    with atomic_open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(pixels.transpose(1, 2, 0).tobytes())
-
-
-def write_f64(path, img: np.ndarray) -> None:
-    img = np.ascontiguousarray(img, dtype="<f8")
-    c, h, w = img.shape
-    with atomic_open(path, "wb") as f:
-        f.write(struct.pack("<III", c, h, w))
-        f.write(img.tobytes())
 
 
 def bilinear_sample(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Pair losses: contrastive over cosine distance, score regression, BCE.
 
-All three accept either plain arrays (evaluation) or tape tensors plus a
-graph (training); the same arithmetic serves both paths.  ``d`` is a
-*distance*, d = 1 - cosine similarity, so matched pairs are pulled toward
-d = 0 and mismatched pairs pushed beyond the margin.
+The losses and the cosine take plain arrays or tensors.  Given a graph they
+record on it (training); without one (scoring, finite differencing) they only
+compute, with the same arithmetic.  The cosine also scores each row of two
+(n, k) matrices.  ``d`` is a *distance*, d = 1 - cosine similarity, so
+matched pairs are pulled toward d = 0 and mismatched pairs pushed beyond the
+margin.
 
 Class balancing multiplies each pair's term by an inverse-frequency weight;
 the weights apply uniformly to all enabled components.
@@ -54,15 +56,25 @@ def _as_tensor(x) -> Tensor:
 
 
 def cosine_similarity(a, b, g: Graph | None = None) -> Tensor:
-    """<a,b> / (|a||b|); 0 by convention when either norm is ~0."""
+    """<a,b> / (|a||b|) of two vectors, or one score per row of two (n, k) matrices.
+
+    0 by convention where either norm is ~0, with no gradient; two matrices
+    with such a row are scored without recording on ``g``.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape or a.data.ndim != 1:
+    if a.shape != b.shape or a.data.ndim not in (1, 2):
         raise ShapeError(f"cosine_similarity over shapes {a.shape}, {b.shape}")
-    if np.linalg.norm(a.data) < _NORM_EPS or np.linalg.norm(b.data) < _NORM_EPS:
-        return Tensor(0.0)  # degenerate: no gradient flows
-    dot = ops.tsum(g, ops.mul(g, a, b))
-    na = ops.sqrt(g, ops.tsum(g, ops.mul(g, a, a)))
-    nb = ops.sqrt(g, ops.tsum(g, ops.mul(g, b, b)))
+    ok = ((np.linalg.norm(a.data, axis=-1) >= _NORM_EPS)
+          & (np.linalg.norm(b.data, axis=-1) >= _NORM_EPS))
+    if not ok.all():
+        if a.data.ndim == 1:
+            return Tensor(0.0)  # degenerate: no gradient flows
+        out = np.zeros(ok.shape)
+        out[ok] = cosine_similarity(a.data[ok], b.data[ok]).data
+        return Tensor(out)
+    dot = ops.rowsum(g, ops.mul(g, a, b))
+    na = ops.sqrt(g, ops.rowsum(g, ops.mul(g, a, a)))
+    nb = ops.sqrt(g, ops.rowsum(g, ops.mul(g, b, b)))
     return ops.div(g, dot, ops.mul(g, na, nb))
 
 

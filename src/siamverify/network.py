@@ -193,13 +193,17 @@ def forward_embedding(params: NetworkParams, x: Tensor, g: Graph | None = None) 
 
 def forward_head(params: NetworkParams, emb_a: Tensor, emb_b: Tensor,
                  g: Graph | None = None) -> Tensor:
-    """Verification head over |embA - embB|; returns a scalar tensor in (0,1)."""
+    """Verification head over |embA - embB|: a score in (0,1) for two embeddings.
+
+    Given two (n, fc2) matrices it returns one score per row, each with the
+    bits of that row's pair scored alone.
+    """
     t = params.tensors[-2 * len(params.spec.head):]  # the head layers come last
     h = ops.absolute(g, ops.sub(g, emb_a, emb_b))
     for w, b in zip(t[:-2:2], t[1:-2:2]):
         h = ops.relu(g, ops.linear(g, h, w, b))
     h = ops.sigmoid(g, ops.linear(g, h, t[-2], t[-1]))
-    return ops.reshape(g, h, ())
+    return ops.reshape(g, h, h.shape[:-1])
 
 
 def siamese_forward(params: NetworkParams, x_a: Tensor, x_b: Tensor,

@@ -129,6 +129,13 @@ def tsum(g, a) -> Tensor:
     return _rec(g, out, (a,), lambda go: (np.full(sa, float(go)),))
 
 
+def rowsum(g, a) -> Tensor:
+    """Sum over the last axis: a scalar for a vector, one sum per row of a matrix."""
+    out = Tensor(a.data.sum(axis=-1))
+    sa = a.shape
+    return _rec(g, out, (a,), lambda go: (np.repeat(go[..., None], sa[-1], axis=-1),))
+
+
 def reshape(g, a, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
     sa = a.shape
@@ -145,16 +152,23 @@ def stack(g, scalars) -> Tensor:
 
 
 def linear(g, x, w, b) -> Tensor:
-    """Affine map w @ x + b for a flat input vector."""
-    if x.data.ndim != 1 or w.data.ndim != 2:
-        raise ShapeError(f"linear expects 1-D input and 2-D weight, got {x.shape}, {w.shape}")
-    if w.shape[1] != x.shape[0] or b.shape != (w.shape[0],):
+    """Affine map w @ x + b of a flat input vector, or of each row of an (n, k) matrix.
+
+    Both run as one gemv per row, so a row's output and input gradient have
+    the bits of the same row passed alone.  A matrix's ``dW`` and ``db`` sum
+    over its rows in one gemm and one reduction.
+    """
+    if x.data.ndim not in (1, 2) or w.data.ndim != 2:
+        raise ShapeError(f"linear expects 1-D or 2-D input, 2-D weight: {x.shape}, {w.shape}")
+    if w.shape[1] != x.shape[-1] or b.shape != (w.shape[0],):
         raise ShapeError(f"linear shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
     xd, wd = x.data, w.data
-    out = Tensor(wd @ xd + b.data)
+    out = Tensor(np.matmul(wd, xd[..., None])[..., 0] + b.data)
 
     def backward(go):
-        return (wd.T @ go, np.outer(go, xd), go)
+        if go.ndim == 1:
+            return (wd.T @ go, np.outer(go, xd), go)
+        return (np.matmul(wd.T, go[..., None])[..., 0], go.T @ xd, go.sum(axis=0))
 
     return _rec(g, out, (x, w, b), backward)
 

@@ -14,7 +14,8 @@ import os
 
 import numpy as np
 
-from siamverify.images import bilinear_resize, rotate, write_pgm
+from imagefiles import write_pgm
+from siamverify.images import bilinear_resize, rotate
 
 SIZE = 32
 

@@ -11,7 +11,7 @@ from siamverify import (AugmentConfig, ImageRecord, augment, generate_pairs,
                         load_image, merge_weak_labels, parse_manifest)
 from siamverify.dataset import export_pairs_csv, pair_rng, PAIR_CSV_HEADER
 from siamverify.errors import ConfigError, DomainError, FormatError, ManifestError
-from siamverify.images import write_f64, write_pgm, write_ppm
+from imagefiles import write_f64, write_pgm, write_ppm
 from siamverify.tensor import Tensor
 
 

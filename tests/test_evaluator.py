@@ -1,10 +1,13 @@
 """Exact ROC/GAR sweeps checked against a brute-force threshold scan."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imagefiles import write_pgm
 from siamverify import (NetworkSpec, ScoreSet, TrainConfig, TrainLog, accuracy_at,
                         best_accuracy, build_network, gar_at_far, metrics_report,
                         roc_curve, run_ablation, score_pairs)
@@ -164,7 +167,6 @@ class TestInvariances:
 
 class TestScorePairs:
     def make_pairs(self, tmp_path, n=3):
-        from siamverify.images import write_pgm
         rng = np.random.default_rng(0)
         recs = []
         for i in range(2 * n):
@@ -193,7 +195,6 @@ class TestScorePairs:
 
     def shared_pairs(self, tmp_path, n_images=4):
         """Every unordered pair of n_images images: each image is in n_images - 1 pairs."""
-        from siamverify.images import write_pgm
         rng = np.random.default_rng(1)
         recs = []
         for i in range(n_images):
@@ -234,6 +235,61 @@ class TestScorePairs:
             s = score_pairs(params, pairs, mode=mode)
             assert s.genuine.tobytes() == np.array(gen).tobytes()
             assert s.impostor.tobytes() == np.array(imp).tobytes()
+
+    def block_pairs(self, tmp_path, n_pairs, n_images=5):
+        """``n_pairs`` pairs over ``n_images`` images, some of an image with itself."""
+        rng = np.random.default_rng(3)
+        recs = []
+        for i in range(n_images):
+            p = tmp_path / f"bl{i}.pgm"
+            write_pgm(p, rng.random((1, 32, 32)))
+            recs.append(ImageRecord("id01", str(p), "genuine"))
+        return [PairRecord(recs[i % n_images], recs[(3 * i + 1) % n_images], i % 3 % 2, "overall")
+                for i in range(n_pairs)]
+
+    @pytest.mark.parametrize("mode", ["head", "cosine"])
+    def test_scores_across_block_boundary_equal_per_pair(self, tmp_path, mode):
+        from siamverify import cosine_similarity, load_image, siamese_forward
+        params = build_network(NetworkSpec.tiny(), seed=4)
+        pairs = self.block_pairs(tmp_path, 2 * evaluator._BLOCK_PAIRS + 7)
+        shape = params.spec.input_shape
+        ref, gen, imp = {}, [], []
+        for pair in pairs:
+            key = (pair.a.path, pair.b.path)
+            if key not in ref:
+                emb_a, emb_b, p = siamese_forward(params, load_image(pair.a, shape),
+                                                  load_image(pair.b, shape))
+                ref[key] = p if mode == "head" else cosine_similarity(emb_a, emb_b)
+            (gen if pair.y == 1 else imp).append(ref[key].item())
+        s = score_pairs(params, pairs, mode=mode)
+        assert s.genuine.tobytes() == np.array(gen).tobytes()
+        assert s.impostor.tobytes() == np.array(imp).tobytes()
+
+    def test_zero_embeddings_score_cosine_zero(self, tmp_path):
+        params = build_network(NetworkSpec.tiny(), seed=0)
+        fc2 = 2 * (params.spec.conv_layer_count + 1)  # fc2's weight, then its bias
+        for t in params.tensors[fc2:fc2 + 2]:
+            t.data[...] = 0.0
+        s = score_pairs(params, self.block_pairs(tmp_path, evaluator._BLOCK_PAIRS + 1),
+                        mode="cosine")
+        scores = np.concatenate([s.genuine, s.impostor])
+        assert scores.size == evaluator._BLOCK_PAIRS + 1
+        assert scores.tobytes() == np.zeros(scores.size).tobytes()
+
+    @pytest.mark.parametrize("mode", ["head", "cosine"])
+    def test_peak_memory_bounded_by_block(self, tmp_path, mode):
+        """8x the pairs over the same images adds less than one (pairs, fc2) matrix."""
+        params = build_network(NetworkSpec.tiny(), seed=0)
+        n = 2 * evaluator._BLOCK_PAIRS
+        peaks = []
+        for pairs in (self.block_pairs(tmp_path, n), self.block_pairs(tmp_path, 8 * n)):
+            tracemalloc.start()
+            try:
+                score_pairs(params, pairs, mode=mode)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 8 * n * params.spec.fc[1] * 8
 
     def test_bad_mode_and_empty(self, tmp_path):
         params = build_network(NetworkSpec.tiny(), seed=0)

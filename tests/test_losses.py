@@ -55,6 +55,22 @@ class TestCosine:
         with pytest.raises(ShapeError):
             cosine_similarity(np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize("zero_rows", [(), (2,), (0, 2, 4)])
+    def test_rows_equal_vector_calls(self, zero_rows):
+        """One score per row, each with its vector call's bits; a ~0 norm row scores 0.0."""
+        rng = np.random.default_rng(6)
+        a, b = rng.random((5, 33)), rng.random((5, 33))
+        a[list(zero_rows)] = 0.0
+        rows = cosine_similarity(a, b).data
+        assert rows.shape == (5,)
+        assert rows.tobytes() == np.array([cosine_similarity(x, y).item()
+                                           for x, y in zip(a, b)]).tobytes()
+        assert all(rows[i] == 0.0 for i in zero_rows)
+
+    def test_rows_rejects_3d(self):
+        with pytest.raises(ShapeError):
+            cosine_similarity(np.ones((2, 2, 3)), np.ones((2, 2, 3)))
+
 
 class TestContrastive:
     def test_perfect_positive(self):

@@ -182,6 +182,37 @@ class TestPrimitives:
         with pytest.raises(ShapeError):
             ops.linear(None, Tensor(np.zeros(4)), Tensor(np.zeros((3, 5))), Tensor(np.zeros(3)))
 
+    @pytest.mark.parametrize("x_shape", [(2, 3, 5), (2, 4), (4,)])
+    def test_linear_rows_shape_checked(self, x_shape):
+        with pytest.raises(ShapeError):
+            ops.linear(None, Tensor(np.zeros(x_shape)), Tensor(np.zeros((3, 5))),
+                       Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize("m, k, n", [(16, 32, 5), (1, 16, 7), (64, 1024, 3)])
+    def test_linear_rows_bitwise_equal_vector_calls(self, m, k, n):
+        """Forward rows and input-gradient rows have the bits of n vector calls."""
+        rng = np.random.default_rng(m + k + n)
+        w, b = Tensor(rng.standard_normal((m, k))), Tensor(rng.standard_normal(m))
+        x, go = rng.standard_normal((n, k)), rng.standard_normal((n, m))
+
+        def run(xd, god):
+            xt = Tensor(xd)
+            g = Graph([xt])
+            out = ops.linear(g, xt, w, b)
+            return out.data, g.backward(ops.tsum(g, ops.mul(g, out, Tensor(god))))[xt]
+
+        out, dx = run(x, go)
+        per_row = [run(xi, gi) for xi, gi in zip(x, go)]
+        assert out.tobytes() == np.stack([o for o, _ in per_row]).tobytes()
+        assert dx.tobytes() == np.stack([d for _, d in per_row]).tobytes()
+
+    def test_rowsum_rows_bitwise_equal_vector_sums(self):
+        x = np.random.default_rng(5).random((6, 131))
+        out = ops.rowsum(None, Tensor(x)).data
+        assert out.shape == (6,)
+        assert out.tobytes() == np.array([ops.tsum(None, Tensor(r)).item() for r in x]).tobytes()
+        assert ops.rowsum(None, Tensor(x[0])).shape == ()
+
     @pytest.mark.parametrize("seed", range(20))
     def test_no_nan_inf_from_finite_inputs(self, seed):
         rng = np.random.default_rng(seed)
@@ -333,6 +364,7 @@ def _primitive_cases(seed):
     w = Tensor(rng.standard_normal((4, 20)))
     bb = Tensor(rng.standard_normal(4))
     pos = Tensor(rng.uniform(0.2, 0.8, 10))
+    xm = Tensor(rng.standard_normal((3, 20)))
     cases = {
         "relu": (lambda g: ops.tsum(g, ops.relu(g, xv)), [xv]),
         "sigmoid": (lambda g: ops.tsum(g, ops.sigmoid(g, xv)), [xv]),
@@ -342,6 +374,11 @@ def _primitive_cases(seed):
         "div": (lambda g: ops.tsum(g, ops.div(g, xv, Tensor(3.0))), [xv]),
         "linear": (lambda g: ops.tsum(g, ops.mul(g, ops.linear(g, xv, w, bb),
                                                  ops.linear(g, xv, w, bb))), [xv, w, bb]),
+        "linear_rows": (lambda g: ops.tsum(g, ops.mul(g, ops.linear(g, xm, w, bb),
+                                                      ops.linear(g, xm, w, bb))), [xm, w, bb]),
+        "rowsum": (lambda g: ops.add(g, ops.tsum(g, ops.mul(g, ops.rowsum(g, xm),
+                                                            ops.rowsum(g, xm))),
+                                     ops.mul(g, ops.rowsum(g, xv), ops.rowsum(g, xv))), [xm, xv]),
         "conv2d": (lambda g: ops.tsum(g, ops.mul(g, ops.conv2d(g, xc, k, b, 1, 1),
                                                  ops.conv2d(g, xc, k, b, 1, 1))), [xc, k, b]),
         "maxpool2": (lambda g: ops.tsum(g, ops.mul(g, ops.maxpool2(g, xc),

@@ -11,7 +11,7 @@ from siamverify import (AugmentConfig, Graph, LossConfig, NetworkSpec, TrainConf
 from siamverify.trainer import NO_AUGMENT, apply_settings, pair_batch_loss, settings_of
 from siamverify.dataset import ImageRecord, PairRecord
 from siamverify.errors import ConfigError, NumericError
-from siamverify.images import write_pgm
+from imagefiles import write_pgm
 
 TINY = NetworkSpec.tiny()
 NO_AUG = AugmentConfig(gaussian_sigma=0.0, flip_prob=0.0,

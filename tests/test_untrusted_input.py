@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from siamverify import NetworkSpec, build_network, load_params, parse_manifest, save_params
 from siamverify.errors import DomainError, FormatError, ManifestError
-from siamverify.images import read_image, write_f64, write_pgm, write_ppm
+from imagefiles import write_f64, write_pgm, write_ppm
+from siamverify.images import read_image
 
 TYPED = (ManifestError, FormatError, DomainError)
 FUZZ = settings(max_examples=150, deadline=None,
