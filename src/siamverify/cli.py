@@ -19,7 +19,7 @@ from .atomic import atomic_open
 from .dataset import (PROTOCOLS, SPLITS, export_pairs_csv, generate_pairs, merge_weak_labels,
                       parse_manifest)
 from .evaluator import SCORE_MODES, metrics_report, roc_curve, run_ablation, score_pairs
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .gradcheck import grad_check
 from .losses import LossConfig
 from .network import DEFAULT_FREEZE, NetworkSpec, build_network, load_params
@@ -184,10 +184,12 @@ def _cmd_gradcheck(args) -> int:
     def loss_fn(g: Graph | None):
         return pair_batch_loss(params, batch, cfg, g).total_node
 
-    err = grad_check(loss_fn, params.tensors, max_coords_per_tensor=args.max_coords,
-                     seed=args.seed, **_given(args, ("eps",)))
-    print(f"max relative error: {err:.3e} (tolerance {args.tol:.3e})")
-    return 0 if err < args.tol else 1
+    res = grad_check(loss_fn, params.tensors, max_coords_per_tensor=args.max_coords,
+                     seed=args.seed, full_result=True, **_given(args, ("eps",)))
+    if not res.checked:
+        raise NumericError(f"no coordinate checked; all {res.skipped} straddled a kink")
+    print(f"max relative error: {res.max_relative_error:.3e} (tolerance {args.tol:.3e})")
+    return 0 if res.max_relative_error < args.tol else 1
 
 
 def _cmd_ablate(args) -> int:

@@ -50,10 +50,9 @@ def grad_check(loss_fn, params, eps: float = 1e-5,
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ConfigError(f"eps {eps} outside [1e-7, 1e-3]")
+    if max_coords_per_tensor is not None and max_coords_per_tensor < 1:
+        raise ConfigError(f"max_coords_per_tensor must be >= 1, got {max_coords_per_tensor}")
     params = list(params)
-    if not params:
-        return GradCheckResult(0.0, 0, 0) if full_result else 0.0
-
     graph = Graph(params)
     out = loss_fn(graph)
     if out.shape != ():

@@ -58,24 +58,20 @@ def _as_tensor(x) -> Tensor:
 def cosine_similarity(a, b, g: Graph | None = None) -> Tensor:
     """<a,b> / (|a||b|) of two vectors, or one score per row of two (n, k) matrices.
 
-    0 by convention where either norm is ~0, with no gradient; two matrices
-    with such a row are scored without recording on ``g``.
+    A row where either norm is ~0 scores 0 with no gradient: its squared norms
+    gain 1, so sqrt and division stay finite, and its score is multiplied by 0.
+    Any other row gains 0 and is multiplied by 1, so it keeps its vector bits.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape or a.data.ndim not in (1, 2):
         raise ShapeError(f"cosine_similarity over shapes {a.shape}, {b.shape}")
     ok = ((np.linalg.norm(a.data, axis=-1) >= _NORM_EPS)
           & (np.linalg.norm(b.data, axis=-1) >= _NORM_EPS))
-    if not ok.all():
-        if a.data.ndim == 1:
-            return Tensor(0.0)  # degenerate: no gradient flows
-        out = np.zeros(ok.shape)
-        out[ok] = cosine_similarity(a.data[ok], b.data[ok]).data
-        return Tensor(out)
+    degenerate = Tensor(~ok)
     dot = ops.rowsum(g, ops.mul(g, a, b))
-    na = ops.sqrt(g, ops.rowsum(g, ops.mul(g, a, a)))
-    nb = ops.sqrt(g, ops.rowsum(g, ops.mul(g, b, b)))
-    return ops.div(g, dot, ops.mul(g, na, nb))
+    na = ops.sqrt(g, ops.add(g, ops.rowsum(g, ops.mul(g, a, a)), degenerate))
+    nb = ops.sqrt(g, ops.add(g, ops.rowsum(g, ops.mul(g, b, b)), degenerate))
+    return ops.mul(g, ops.div(g, dot, ops.mul(g, na, nb)), Tensor(ok))
 
 
 def cosine_distance(a, b, g: Graph | None = None) -> Tensor:

@@ -142,21 +142,21 @@ def reshape(g, a, shape) -> Tensor:
     return _rec(g, out, (a,), lambda go: (go.reshape(sa),))
 
 
-def stack(g, scalars) -> Tensor:
-    """Stack scalar tensors into a 1-D vector."""
-    for t in scalars:
-        if t.shape != ():
-            raise ShapeError(f"stack expects scalars, got shape {t.shape}")
-    out = Tensor(np.array([t.data for t in scalars]))
-    return _rec(g, out, tuple(scalars), lambda go: tuple(np.asarray(v) for v in go))
+def stack(g, tensors) -> Tensor:
+    """Stack tensors of one shape on a new first axis: scalars into a vector, vectors into rows."""
+    if not tensors or any(t.shape != tensors[0].shape for t in tensors):
+        raise ShapeError(f"stack expects tensors of one shape, got {[t.shape for t in tensors]}")
+    out = Tensor(np.stack([t.data for t in tensors]))
+    return _rec(g, out, tuple(tensors), lambda go: tuple(np.asarray(v) for v in go))
 
 
 def linear(g, x, w, b) -> Tensor:
     """Affine map w @ x + b of a flat input vector, or of each row of an (n, k) matrix.
 
     Both run as one gemv per row, so a row's output and input gradient have
-    the bits of the same row passed alone.  A matrix's ``dW`` and ``db`` sum
-    over its rows in one gemm and one reduction.
+    the bits of the row passed alone.  ``dW`` and ``db`` add the rows' terms
+    from last to first, one ``np.outer`` at a time, as the tape adds n vector
+    calls, so rows train to the same bits; a gemm or ``sum`` would reorder.
     """
     if x.data.ndim not in (1, 2) or w.data.ndim != 2:
         raise ShapeError(f"linear expects 1-D or 2-D input, 2-D weight: {x.shape}, {w.shape}")
@@ -166,9 +166,12 @@ def linear(g, x, w, b) -> Tensor:
     out = Tensor(np.matmul(wd, xd[..., None])[..., 0] + b.data)
 
     def backward(go):
-        if go.ndim == 1:
-            return (wd.T @ go, np.outer(go, xd), go)
-        return (np.matmul(wd.T, go[..., None])[..., 0], go.T @ xd, go.sum(axis=0))
+        gs, xs = go.reshape(-1, go.shape[-1]), xd.reshape(-1, xd.shape[-1])
+        dw, db = np.outer(gs[-1], xs[-1]), gs[-1].copy()
+        for gi, xi in zip(gs[-2::-1], xs[-2::-1]):
+            dw += np.outer(gi, xi)
+            db += gi
+        return (np.matmul(wd.T, go[..., None])[..., 0], dw, db)
 
     return _rec(g, out, (x, w, b), backward)
 

@@ -19,7 +19,7 @@ from .atomic import atomic_open
 from .dataset import AugmentConfig, PairRecord, augment, load_image, pair_rng
 from .errors import ConfigError, NumericError
 from .losses import LossBreakdown, LossConfig, class_weights, total_loss
-from .network import NetworkParams, freeze_prefix, save_params, siamese_forward
+from .network import NetworkParams, forward_embedding, forward_head, freeze_prefix, save_params
 from .tensor import Graph
 
 
@@ -143,16 +143,16 @@ def pair_batch_loss(params: NetworkParams, batch: list, cfg: LossConfig,
                     g: Graph | None = None) -> LossBreakdown:
     """Loss over ``batch = [(x_a, x_b, y), ...]``, recorded on ``g`` when given.
 
-    Per pair the tape holds stream a, stream b, the head, then the cosine
-    distance; the per-pair distances and head scores are stacked last.
+    Each pair's a image, then its b image, is embedded alone; the embeddings
+    are stacked into (B, fc2) rows, and the head, the cosine distance and the
+    losses run once over them, each row and gradient with its pair's own bits.
     """
-    d_scalars, p_scalars = [], []
-    for xa, xb, _ in batch:
-        emb_a, emb_b, p = siamese_forward(params, xa, xb, g)
-        d_scalars.append(losses.cosine_distance(emb_a, emb_b, g))
-        p_scalars.append(p)
+    emb = [forward_embedding(params, x, g) for xa, xb, _ in batch for x in (xa, xb)]
+    emb_a, emb_b = ops.stack(g, emb[0::2]), ops.stack(g, emb[1::2])
+    p = forward_head(params, emb_a, emb_b, g)
+    d = losses.cosine_distance(emb_a, emb_b, g)
     y = np.array([label for _, _, label in batch], dtype=np.float64)
-    return total_loss(ops.stack(g, d_scalars), ops.stack(g, p_scalars), y, cfg, g)
+    return total_loss(d, p, y, cfg, g)
 
 
 def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,

@@ -10,6 +10,7 @@ import pytest
 
 from siamverify import cli
 from siamverify.cli import main
+from siamverify.gradcheck import GradCheckResult
 from siamverify.losses import LossConfig
 from siamverify.network import DEFAULT_FREEZE
 from siamverify.trainer import (NO_AUGMENT, SETTINGS, TrainConfig, TrainLog,
@@ -87,6 +88,19 @@ class TestGradcheck:
         assert main(["gradcheck", "--profile", "tiny", "--max-coords", "2",
                      "--tol", "1e-18"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("coords", ["0", "-3"])
+    def test_no_coordinates_is_a_config_error(self, coords, capsys):
+        assert main(["gradcheck", "--profile", "tiny", "--max-coords", coords]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ConfigError: max_coords_per_tensor")
+
+    def test_nothing_checked_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "grad_check",
+                            lambda *a, **k: GradCheckResult(0.0, checked=0, skipped=7))
+        assert main(["gradcheck", "--profile", "tiny", "--max-coords", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: NumericError: no coordinate checked")
 
 
 @pytest.fixture(scope="module")

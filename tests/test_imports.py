@@ -1,6 +1,7 @@
 """Every import in the package modules is used (``__init__`` re-exports exempt)
-and sits at module level, not inside a function body; and one function in the
-package opens files for writing."""
+and sits at module level, not inside a function body; one function in the
+package opens files for writing; and every public function, class and method
+has a caller in the package or in perfbench, not only in tests."""
 
 import ast
 import pathlib
@@ -127,3 +128,70 @@ def test_one_function_opens_files_for_writing():
     writers = [(path.name, line, fn) for path in sorted(PACKAGE.glob("*.py"))
                for line, fn in writing_opens(path.read_text(encoding="utf-8"))]
     assert [(name, fn) for name, _, fn in writers] == [("atomic.py", "atomic_open")], writers
+
+
+PERFBENCH = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
+
+
+def public_definitions(source: str) -> list[tuple[int, str, str]]:
+    """(line, qualified name, name) of each public top-level function and class,
+    and of each public method of a top-level class."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.lineno, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [(m.lineno, f"{node.name}.{m.name}", m.name) for m in node.body
+                          if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return found
+
+
+def referenced_names(source: str, strings: bool = False) -> set[str]:
+    """Each name read (a ``Name``, or an attribute's name) outside a definition of
+    that name; with ``strings``, each string constant too."""
+    found = set()
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif strings and isinstance(child, ast.Constant) and isinstance(child.value, str):
+                name = child.value
+            else:
+                name = None
+            if name is not None and name not in inside:
+                found.add(name)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, inside | {child.name} if is_def else inside)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def test_detector_finds_definitions_and_references():
+    source = ("class C:\n"
+              "    def used(self):\n"
+              "        return self.used() + helper()\n"
+              "    def _private(self):\n"
+              "        pass\n"
+              "def helper():\n"
+              "    return helper() + C().used\n"
+              "def dead():\n"
+              "    return 'named'\n")
+    assert public_definitions(source) == [(1, "C", "C"), (2, "C.used", "used"),
+                                          (6, "helper", "helper"), (8, "dead", "dead")]
+    assert referenced_names(source) == {"C", "used", "helper", "self"}
+    assert referenced_names(source, strings=True) == {"C", "used", "helper", "self", "named"}
+
+
+def test_every_public_definition_has_a_caller_in_src_or_perfbench():
+    # perfbench's tracer looks functions up by name, so its strings count
+    used = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in MODULES),
+                       *(referenced_names(p.read_text(encoding="utf-8"), strings=True)
+                         for p in PERFBENCH))
+    unused = [(path.name, line, qualified) for path in MODULES
+              for line, qualified, name in public_definitions(path.read_text(encoding="utf-8"))
+              if name not in used]
+    assert PERFBENCH and unused == []

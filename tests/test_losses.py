@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siamverify import (LossConfig, Tensor, bce_loss, class_weights,
+from siamverify import (Graph, LossConfig, Tensor, bce_loss, class_weights,
                         contrastive_loss, cosine_distance, cosine_similarity,
                         grad_check, mse_loss, total_loss)
 from siamverify import ops
@@ -57,15 +57,34 @@ class TestCosine:
 
     @pytest.mark.parametrize("zero_rows", [(), (2,), (0, 2, 4)])
     def test_rows_equal_vector_calls(self, zero_rows):
-        """One score per row, each with its vector call's bits; a ~0 norm row scores 0.0."""
+        """One score per row, each with its vector call's bits, recorded or not; a ~0
+        norm row scores +0.0 and gets zero gradient, and every other row's gradient
+        has its vector call's bits."""
         rng = np.random.default_rng(6)
         a, b = rng.random((5, 33)), rng.random((5, 33))
         a[list(zero_rows)] = 0.0
+        go = rng.standard_normal(5)
+
+        def run(xa, xb, gd):
+            ta, tb = Tensor(xa), Tensor(xb)
+            g = Graph([ta, tb])
+            score = cosine_similarity(ta, tb, g)
+            grads = g.backward(ops.tsum(g, ops.mul(g, score, Tensor(gd))))
+            return score.data, grads[ta], grads[tb]
+
         rows = cosine_similarity(a, b).data
+        recorded, grad_a, grad_b = run(a, b, go)
+        vectors = [run(x, y, gd) for x, y, gd in zip(a, b, go)]
         assert rows.shape == (5,)
-        assert rows.tobytes() == np.array([cosine_similarity(x, y).item()
-                                           for x, y in zip(a, b)]).tobytes()
-        assert all(rows[i] == 0.0 for i in zero_rows)
+        assert rows.tobytes() == recorded.tobytes() == np.array(
+            [cosine_similarity(x, y).item() for x, y in zip(a, b)]).tobytes()
+        assert rows[list(zero_rows)].tobytes() == np.zeros(len(zero_rows)).tobytes()
+        for i, (_, va, vb) in enumerate(vectors):
+            if i in zero_rows:
+                assert not grad_a[i].any() and not grad_b[i].any()
+            else:
+                assert grad_a[i].tobytes() == va.tobytes()
+                assert grad_b[i].tobytes() == vb.tobytes()
 
     def test_rows_rejects_3d(self):
         with pytest.raises(ShapeError):
@@ -233,7 +252,6 @@ class TestLossGradients:
         assert err < 1e-4
 
     def test_hinge_boundary_subgradient_zero(self):
-        from siamverify import Graph
         cfg = LossConfig(margin=0.5)
         d = Tensor(np.array([0.5]))
         g = Graph([d])

@@ -188,23 +188,32 @@ class TestPrimitives:
             ops.linear(None, Tensor(np.zeros(x_shape)), Tensor(np.zeros((3, 5))),
                        Tensor(np.zeros(3)))
 
-    @pytest.mark.parametrize("m, k, n", [(16, 32, 5), (1, 16, 7), (64, 1024, 3)])
+    @pytest.mark.parametrize("m, k, n", [(16, 32, 5), (1, 16, 7), (64, 1024, 3),
+                                         (1, 16, 8), (1, 3, 40), (4, 9, 12)])
     def test_linear_rows_bitwise_equal_vector_calls(self, m, k, n):
-        """Forward rows and input-gradient rows have the bits of n vector calls."""
+        """Rows have the bits of n vector calls on one tape: the outputs, the
+        input-gradient rows, and dW and db, which the tape sums from the last
+        call to the first."""
         rng = np.random.default_rng(m + k + n)
         w, b = Tensor(rng.standard_normal((m, k))), Tensor(rng.standard_normal(m))
         x, go = rng.standard_normal((n, k)), rng.standard_normal((n, m))
 
-        def run(xd, god):
-            xt = Tensor(xd)
-            g = Graph([xt])
-            out = ops.linear(g, xt, w, b)
-            return out.data, g.backward(ops.tsum(g, ops.mul(g, out, Tensor(god))))[xt]
+        def run(xs, gos):
+            xts = [Tensor(xi) for xi in xs]
+            g = Graph([w, b, *xts])
+            outs = [ops.linear(g, xt, w, b) for xt in xts]
+            terms = [ops.tsum(g, ops.mul(g, o, Tensor(gi))) for o, gi in zip(outs, gos)]
+            grads = g.backward(ops.tsum(g, ops.stack(g, terms)))
+            return (np.stack([o.data for o in outs]), np.stack([grads[xt] for xt in xts]),
+                    grads[w], grads[b])
 
-        out, dx = run(x, go)
-        per_row = [run(xi, gi) for xi, gi in zip(x, go)]
-        assert out.tobytes() == np.stack([o for o, _ in per_row]).tobytes()
-        assert dx.tobytes() == np.stack([d for _, d in per_row]).tobytes()
+        for rows, vectors in zip(run([x], [go]), run(x, go)):
+            assert rows.reshape(vectors.shape).tobytes() == vectors.tobytes()
+
+    @pytest.mark.parametrize("shapes", [[], [(), (2,)], [(3,), (3,), (4,)]])
+    def test_stack_needs_tensors_of_one_shape(self, shapes):
+        with pytest.raises(ShapeError):
+            ops.stack(None, [Tensor(np.zeros(s)) for s in shapes])
 
     def test_rowsum_rows_bitwise_equal_vector_sums(self):
         x = np.random.default_rng(5).random((6, 131))
@@ -385,6 +394,8 @@ def _primitive_cases(seed):
                                                    ops.maxpool2(g, xc))), [xc]),
         "stack": (lambda g: ops.tsum(g, ops.stack(g, [ops.tsum(g, xv), ops.tsum(g, pos)])),
                   [xv, pos]),
+        "stack_rows": (lambda g: ops.tsum(g, ops.mul(g, ops.stack(g, [xv, ops.neg(g, xv), xv]),
+                                                     xm)), [xv]),
     }
     return cases
 

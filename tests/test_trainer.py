@@ -102,11 +102,21 @@ class TestSgdStep:
 
 
 class TestPairBatchLoss:
-    def test_matches_inline_per_pair_tape(self):
+    @pytest.mark.parametrize("zero_pair", [False, True])
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_matches_inline_per_pair_tape(self, n, seed, zero_pair):
+        """The rows path has the per-pair tape's loss and gradient bits.  An
+        all-zero image embeds to a zero vector at init (the biases are 0), so
+        ``zero_pair`` gives pair 1 a ~0-norm cosine row."""
         from siamverify import cosine_distance, ops, siamese_forward, total_loss
-        rng = np.random.default_rng(4)
+        rng = np.random.default_rng(seed)
+        labels = [(1, 0, 0)[i % 3] for i in range(n)]
         batch = [(Tensor(rng.random(TINY.input_shape)), Tensor(rng.random(TINY.input_shape)), y)
-                 for y in (1, 0, 0)]
+                 for y in labels]
+        if zero_pair:
+            zero = Tensor(np.zeros(TINY.input_shape))
+            batch[1] = (zero, zero, batch[1][2])
         cfg = LossConfig(w_pos=1.5, w_neg=0.75)
 
         def grads(loss_fn):
@@ -123,7 +133,7 @@ class TestPairBatchLoss:
                 d.append(cosine_distance(emb_a, emb_b, g))
                 p.append(score)
             return total_loss(ops.stack(g, d), ops.stack(g, p),
-                              np.array([1.0, 0.0, 0.0]), cfg, g)
+                              np.array(labels, dtype=float), cfg, g)
 
         got, got_grads = grads(lambda params, g: pair_batch_loss(params, batch, cfg, g))
         want, want_grads = grads(inline)
