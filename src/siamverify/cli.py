@@ -81,14 +81,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _file_config(path) -> dict:
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as f:
-        config = json.load(f)
-    if not isinstance(config, dict):
-        raise ConfigError("--config must hold a JSON object")
-    return config
+def _read_json(path, kind: type):
+    """The JSON value in file ``path``, which must be a ``kind`` (dict or list).
+
+    Undecodable bytes, bad JSON, nesting too deep to parse and a value of
+    another type are each a ``ConfigError`` that names the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            value = json.load(f)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ConfigError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(value, kind):
+        raise ConfigError(f"{path} must hold a JSON {'object' if kind is dict else 'list'}")
+    return value
 
 
 def _given(args, keys) -> dict:
@@ -99,15 +105,9 @@ def _given(args, keys) -> dict:
 def _write_config(out_dir, config: dict) -> None:
     """Write ``config``, refusing to replace another command's record."""
     path = os.path.join(out_dir, "resolved_config.json")
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                previous = json.load(f)
-        except ValueError:
-            previous = None
-        if not isinstance(previous, dict) or previous.get("command") != config["command"]:
-            raise ConfigError(f"{path} is not a {config['command']!r} record; "
-                              "give each command its own output directory")
+    if os.path.exists(path) and _read_json(path, dict).get("command") != config["command"]:
+        raise ConfigError(f"{path} is not a {config['command']!r} record; "
+                          "give each command its own output directory")
     os.makedirs(out_dir, exist_ok=True)
     with atomic_open(path, "w", encoding="utf-8") as f:
         json.dump(config, f, indent=2, sort_keys=True)
@@ -120,7 +120,8 @@ def _records_for_split(records, split):
 def _cmd_train(args) -> int:
     spec = NetworkSpec.profile(args.profile)
     cfg = apply_settings(TrainConfig(), {"freeze_k": DEFAULT_FREEZE[args.profile],
-                                         **_file_config(args.config), **_given(args, SETTINGS)})
+                                         **(_read_json(args.config, dict) if args.config else {}),
+                                         **_given(args, SETTINGS)})
     records = parse_manifest(args.manifest)
     records = [r for r in records if r.split == "train"]
     if args.web_manifest:
@@ -193,10 +194,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    with open(args.grid, "r", encoding="utf-8") as f:
-        grid = json.load(f)
-    if not isinstance(grid, list):
-        raise ValueError("grid file must contain a JSON list")
+    grid = _read_json(args.grid, list)
     records = parse_manifest(args.manifest)
     train_records = [r for r in records if r.split == "train"]
     eval_records = [r for r in records if r.split in ("val", "test")] or train_records

@@ -100,7 +100,7 @@ def _record_from_obj(obj, lineno: int, seen: set) -> ImageRecord:
     bbox = obj.get("bbox")
     if bbox is not None:
         if (not isinstance(bbox, list) or len(bbox) != 4
-                or not all(isinstance(v, int) and v >= 0 for v in bbox)):
+                or not all(type(v) is int and v >= 0 for v in bbox)):  # bool is no size
             raise ManifestError(f"line {lineno}: bbox must be [x, y, w, h] of nonneg ints")
         bbox = tuple(bbox)
     key = (obj["identity"], obj["path"])

@@ -163,7 +163,7 @@ def metrics_report(s: ScoreSet, mode: str) -> dict:
 @dataclass
 class AblationRow:
     label: str
-    config: dict
+    config: object  # the grid entry: a copy of its dict, or a non-object entry as given
     best_accuracy: float | None = None
     best_threshold: float | None = None
     gar_at: dict = field(default_factory=dict)
@@ -171,22 +171,29 @@ class AblationRow:
     seconds: float = 0.0
 
 
-def run_ablation(grid: list[dict], train_records, eval_records, base_cfg: TrainConfig,
+def run_ablation(grid: list, train_records, eval_records, base_cfg: TrainConfig,
                  spec, out_dir=None, web_records=None) -> list[AblationRow]:
     """Train/evaluate one model per grid entry on ``overall`` pairs, scored with the head.
 
     An entry may set ``label``, ``use_web`` (a boolean: add ``web_records``,
     which must then be nonempty, to the training set) and any of
     ``trainer.SETTINGS``, applied over ``base_cfg`` seeded
-    ``base_cfg.seed + index``.  A failure, such as an unknown key, is recorded
-    in the row and the grid continues.
+    ``base_cfg.seed + index``.  A failure, such as an unknown key, an entry
+    that is not a dict or a label that is not a string, is recorded in the row
+    (labelled ``run<index>`` unless its label is a string) and the grid continues.
     """
     rows = []
     for idx, entry in enumerate(grid):
-        label = entry.get("label", f"run{idx}")
-        row = AblationRow(label=label, config=dict(entry))
+        is_object = isinstance(entry, dict)
+        label = entry.get("label", f"run{idx}") if is_object else f"run{idx}"
+        row = AblationRow(label=label if isinstance(label, str) else f"run{idx}",
+                          config=dict(entry) if is_object else entry)
         t0 = time.perf_counter()
         try:
+            if not is_object:
+                raise ConfigError(f"grid entry must be a JSON object, got {entry!r}")
+            if not isinstance(label, str):
+                raise ConfigError(f"label must be a string, got {label!r}")
             settings = {k: v for k, v in entry.items() if k not in ("label", "use_web")}
             cfg = apply_settings(replace(base_cfg, seed=base_cfg.seed + idx), settings)
             use_web = entry.get("use_web", False)

@@ -48,7 +48,7 @@ class LossBreakdown:
     l_bce: float
     l_total: float
     p: np.ndarray
-    total_node: Tensor | None = None  # scalar tape tensor when built on a graph
+    total_node: Tensor
 
 
 def _as_tensor(x) -> Tensor:
@@ -58,19 +58,21 @@ def _as_tensor(x) -> Tensor:
 def cosine_similarity(a, b, g: Graph | None = None) -> Tensor:
     """<a,b> / (|a||b|) of two vectors, or one score per row of two (n, k) matrices.
 
-    A row where either norm is ~0 scores 0 with no gradient: its squared norms
-    gain 1, so sqrt and division stay finite, and its score is multiplied by 0.
+    A row where either norm is below ``_NORM_EPS`` scores 0 with no gradient:
+    its squared norms gain 1, so sqrt and division stay finite, and its score
+    is multiplied by 0.
     Any other row gains 0 and is multiplied by 1, so it keeps its vector bits.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape or a.data.ndim not in (1, 2):
         raise ShapeError(f"cosine_similarity over shapes {a.shape}, {b.shape}")
-    ok = ((np.linalg.norm(a.data, axis=-1) >= _NORM_EPS)
-          & (np.linalg.norm(b.data, axis=-1) >= _NORM_EPS))
-    degenerate = Tensor(~ok)
     dot = ops.rowsum(g, ops.mul(g, a, b))
-    na = ops.sqrt(g, ops.add(g, ops.rowsum(g, ops.mul(g, a, a)), degenerate))
-    nb = ops.sqrt(g, ops.add(g, ops.rowsum(g, ops.mul(g, b, b)), degenerate))
+    aa = ops.rowsum(g, ops.mul(g, a, a))
+    bb = ops.rowsum(g, ops.mul(g, b, b))
+    ok = (np.sqrt(aa.data) >= _NORM_EPS) & (np.sqrt(bb.data) >= _NORM_EPS)
+    degenerate = Tensor(~ok)
+    na = ops.sqrt(g, ops.add(g, aa, degenerate))
+    nb = ops.sqrt(g, ops.add(g, bb, degenerate))
     return ops.mul(g, ops.div(g, dot, ops.mul(g, na, nb)), Tensor(ok))
 
 
@@ -78,53 +80,50 @@ def cosine_distance(a, b, g: Graph | None = None) -> Tensor:
     return ops.sub(g, Tensor(1.0), cosine_similarity(a, b, g))
 
 
-def _check_batch(d: Tensor, y: np.ndarray):
-    if d.data.ndim != 1 or d.data.size == 0:
-        raise ConfigError(f"batch must be a nonempty vector, got shape {d.shape}")
-    if y.shape != d.shape:
-        raise ShapeError(f"labels shape {y.shape} != batch shape {d.shape}")
+def _batch(x, y) -> tuple[Tensor, np.ndarray]:
+    """``x`` as a tensor and ``y`` as float64 labels of its shape, a nonempty vector."""
+    x = _as_tensor(x)
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != x.shape:
+        raise ShapeError(f"labels shape {y.shape} != batch shape {x.shape}")
+    if x.data.ndim != 1 or x.data.size == 0:
+        raise ConfigError(f"batch must be a nonempty vector, got shape {x.shape}")
+    return x, y
 
 
-def _weights(y: np.ndarray, cfg: LossConfig) -> Tensor:
-    return Tensor(np.where(y == 1, cfg.w_pos, cfg.w_neg))
+def _weighted_mean(g, terms: Tensor, y: np.ndarray, cfg: LossConfig, n: float) -> Tensor:
+    """sum_i w_i terms_i / n, with w_i the class weight of pair i."""
+    w = Tensor(np.where(y == 1, cfg.w_pos, cfg.w_neg))
+    return ops.div(g, ops.tsum(g, ops.mul(g, w, terms)), Tensor(n))
 
 
 def contrastive_loss(d, y, cfg: LossConfig, g: Graph | None = None) -> Tensor:
     """(1/2B) sum w_i [ y_i d_i^2 + (1-y_i) max(margin - d_i, 0)^2 ]."""
-    d = _as_tensor(d)
-    y = np.asarray(y, dtype=np.float64)
-    _check_batch(d, y)
+    d, y = _batch(d, y)
     if np.any(d.data < -_D_TOL) or np.any(d.data > 1.0 + _D_TOL):
         raise DomainError(f"distance outside [0,1]: {d.data}")
-    b = d.data.size
     hinge = ops.relu(g, ops.sub(g, Tensor(cfg.margin), d))
     terms = ops.add(g,
                     ops.mul(g, Tensor(y), ops.mul(g, d, d)),
                     ops.mul(g, Tensor(1.0 - y), ops.mul(g, hinge, hinge)))
-    return ops.div(g, ops.tsum(g, ops.mul(g, _weights(y, cfg), terms)), Tensor(2.0 * b))
+    return _weighted_mean(g, terms, y, cfg, 2.0 * d.data.size)
 
 
 def mse_loss(p, y, cfg: LossConfig, g: Graph | None = None) -> Tensor:
     """Class-weighted batch mean of (y_i - p_i)^2."""
-    p = _as_tensor(p)
-    y = np.asarray(y, dtype=np.float64)
-    _check_batch(p, y)
+    p, y = _batch(p, y)
     diff = ops.sub(g, Tensor(y), p)
-    sq = ops.mul(g, diff, diff)
-    return ops.div(g, ops.tsum(g, ops.mul(g, _weights(y, cfg), sq)), Tensor(float(p.data.size)))
+    return _weighted_mean(g, ops.mul(g, diff, diff), y, cfg, float(p.data.size))
 
 
 def bce_loss(p, y, cfg: LossConfig, g: Graph | None = None) -> Tensor:
     """Class-weighted batch mean of -[y ln p + (1-y) ln(1-p)], p clamped."""
-    p = _as_tensor(p)
-    y = np.asarray(y, dtype=np.float64)
-    _check_batch(p, y)
+    p, y = _batch(p, y)
     pc = ops.clamp(g, p, _BCE_CLAMP_EPS, 1.0 - _BCE_CLAMP_EPS)
     ll = ops.add(g,
                  ops.mul(g, Tensor(y), ops.log(g, pc)),
                  ops.mul(g, Tensor(1.0 - y), ops.log(g, ops.sub(g, Tensor(1.0), pc))))
-    total = ops.neg(g, ops.tsum(g, ops.mul(g, _weights(y, cfg), ll)))
-    return ops.div(g, total, Tensor(float(p.data.size)))
+    return ops.neg(g, _weighted_mean(g, ll, y, cfg, float(p.data.size)))
 
 
 def class_weights(n_pos: int, n_neg: int) -> tuple[float, float]:
@@ -137,11 +136,8 @@ def class_weights(n_pos: int, n_neg: int) -> tuple[float, float]:
 
 def total_loss(d, p, y, cfg: LossConfig, g: Graph | None = None) -> LossBreakdown:
     """Sum of enabled components; disabled ones report 0 and are excluded."""
-    d = _as_tensor(d)
-    p = _as_tensor(p)
-    y = np.asarray(y, dtype=np.float64)
-    if d.shape != p.shape or d.shape != y.shape:
-        raise ShapeError(f"misaligned batch vectors: d {d.shape}, p {p.shape}, y {y.shape}")
+    d, y = _batch(d, y)
+    p, _ = _batch(p, y)
     lc = contrastive_loss(d, y, cfg, g)
     total = lc
     lr_val = lbce_val = 0.0

@@ -182,7 +182,8 @@ class TestOneRecordPerDirectory:
         assert (run / "resolved_config.json").read_bytes() == before
         assert not {"pairs.csv", "roc.csv", "metrics.json"} & set(os.listdir(run))
 
-    @pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"command": 1}', "{}"])
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"command": 1}', "{}",
+                                      pytest.param("[" * 100000, id="too-deep")])
     def test_unrecognised_record_is_kept(self, corpus, tmp_path, capsys, text):
         (tmp_path / "resolved_config.json").write_text(text)
         assert main(["pairs", "--manifest", corpus[0], "--protocol", "overall",
@@ -230,6 +231,41 @@ class TestAblate:
         assert header[-1] == "error" and len(rows) == 1
         assert len(rows[0]) == len(header)
         assert rows[0][0] == "too_wide" and rows[0][-1] == error
+
+    def test_entry_that_is_no_object_or_has_no_string_label_is_a_row_error(
+            self, corpus, tmp_path, capsys):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps([1, "x", {"label": [1]}, {"label": "ok"}]))
+        out = tmp_path / "abl"
+        assert main(["ablate", "--grid", str(grid_path), "--manifest", corpus[0],
+                     "--epochs", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = json.loads((out / "ablation.json").read_text())
+        assert [r["label"] for r in rows] == ["run0", "run1", "run2", "ok"]
+        assert [r["config"] for r in rows] == [1, "x", {"label": [1]}, {"label": "ok"}]
+        assert all(r["error"].startswith("ConfigError: ") for r in rows[:3])
+        assert rows[3]["error"] is None and rows[3]["best_accuracy"] is not None
+        assert len((out / "ablation.csv").read_text().strip().splitlines()) == 5
+
+
+class TestJsonFiles:
+    """``--config`` and ``--grid`` files that are not the JSON they must be."""
+
+    @pytest.mark.parametrize("command,flag,wrong_type", [("train", "--config", b"[]"),
+                                                         ("ablate", "--grid", b"{}")],
+                             ids=["train", "ablate"])
+    @pytest.mark.parametrize("problem", ["undecodable", "bad-json", "too-deep", "wrong-type"])
+    def test_is_a_config_error_naming_the_file(self, corpus, tmp_path, capsys, command, flag,
+                                               wrong_type, problem):
+        path = tmp_path / "settings.json"
+        path.write_bytes({"undecodable": b"\xff\xfe{}", "bad-json": b'{"lr": ',
+                          "too-deep": b"[" * 100000, "wrong-type": wrong_type}[problem])
+        out = tmp_path / "run"
+        assert main([command, "--manifest", corpus[0], "--out", str(out),
+                     flag, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and str(path) in err
+        assert not out.exists()
 
 
 class TestLibraryDefaults:
@@ -297,7 +333,11 @@ class TestSettings:
         ({"augment": 0}, "'augment'"),
         ({"epochs": "3"}, "'epochs'"),
         ([{"epochs": 1}], "JSON object"),
-    ], ids=["typo", "old-key", "string-bool", "int-bool", "string-int", "list"])
+        ({"lr": float("inf")}, "lr must be a finite"),
+        ({"lr": float("-inf")}, "lr must be a finite"),
+        ({"lr": float("nan")}, "lr must be a finite"),
+    ], ids=["typo", "old-key", "string-bool", "int-bool", "string-int", "list",
+            "lr-infinity", "lr-minus-infinity", "lr-nan"])
     def test_bad_config_exits_1_naming_it(self, corpus, tmp_path, monkeypatch, capsys,
                                           config, needle):
         seen = _capture_train(monkeypatch)
@@ -307,7 +347,7 @@ class TestSettings:
                      "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert "ConfigError" in err and needle in err
-        assert seen == []
+        assert seen == [] and not (tmp_path / "run").exists()
 
     def test_config_switches_reach_train_config(self, corpus, tmp_path, monkeypatch, capsys):
         seen = _capture_train(monkeypatch)

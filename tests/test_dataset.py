@@ -55,6 +55,8 @@ class TestParseManifest:
         ({"identity": "x", "path": "a", "kind": "disguised", "source": "web"}, "web"),
         ({"identity": "x", "path": "a", "kind": "genuine", "bbox": [1, 2, 3]}, "bbox"),
         ({"identity": "x", "path": "a", "kind": "genuine", "bbox": [1, -2, 3, 4]}, "bbox"),
+        ({"identity": "x", "path": "a", "kind": "genuine", "bbox": [True, 0, 2, 2]}, "bbox"),
+        ({"identity": "x", "path": "a", "kind": "genuine", "bbox": [0, 0, 2, False]}, "bbox"),
     ])
     def test_bad_rows(self, tmp_path, row, needle):
         p = write_manifest(tmp_path / "m.jsonl", [GOOD_ROW, row])

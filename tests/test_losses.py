@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from siamverify import (Graph, LossConfig, Tensor, bce_loss, class_weights,
                         contrastive_loss, cosine_distance, cosine_similarity,
                         grad_check, mse_loss, total_loss)
-from siamverify import ops
+from siamverify import losses, ops
 from siamverify.errors import ConfigError, DomainError, ShapeError
 
 UNIT = LossConfig(margin=0.5)
@@ -85,6 +85,33 @@ class TestCosine:
             else:
                 assert grad_a[i].tobytes() == va.tobytes()
                 assert grad_b[i].tobytes() == vb.tobytes()
+
+    def test_norms_straddling_eps(self):
+        """A row scores +0.0, with no gradient, exactly when either side's
+        ``np.linalg.norm`` is below ``_NORM_EPS``; rows just below, at and just
+        above it fall on both sides."""
+        rng = np.random.default_rng(8)
+        eps = losses._NORM_EPS
+        small = []
+        for s in (np.nextafter(eps, 0.0), eps, np.nextafter(eps, 1.0)):
+            small += [np.array([s, 0.0, 0.0, 0.0]), np.full(4, s / 2.0)]
+            u = rng.random(4)
+            small.append(u / np.linalg.norm(u) * s)
+        big = list(rng.random((len(small), 4)) + 0.5)
+        a, b = np.array(small + big), np.array(big + small)
+        degenerate = ((np.linalg.norm(a, axis=-1) < eps)
+                      | (np.linalg.norm(b, axis=-1) < eps))
+        assert degenerate[0:9:3].tolist() == [True, False, False]  # the [s, 0, 0, 0] rows
+        ta, tb = Tensor(a), Tensor(b)
+        g = Graph([ta, tb])
+        score = cosine_similarity(ta, tb, g)
+        grads = g.backward(ops.tsum(g, score))
+        assert score.data.tobytes() == cosine_similarity(a, b).data.tobytes()
+        assert ((score.data == 0.0) == degenerate).all()
+        assert score.data[degenerate].tobytes() == np.zeros(degenerate.sum()).tobytes()
+        assert not grads[ta][degenerate].any() and not grads[tb][degenerate].any()
+        live = ~degenerate
+        assert grads[ta][live].any(axis=-1).all() and grads[tb][live].any(axis=-1).all()
 
     def test_rows_rejects_3d(self):
         with pytest.raises(ShapeError):
@@ -196,6 +223,17 @@ class TestTotal:
         y = np.array([1.0, 1.0, 0.0])
         bd = total_loss(d, p, y, UNIT)
         assert bd.l_total == pytest.approx(bd.l_c + bd.l_r + bd.l_bce, abs=1e-12)
+
+    @pytest.mark.parametrize("shapes", [((3,), (3,), ()), ((3,), (3,), (4,)),
+                                        ((3,), (2,), (3,)), ((2,), (3,), (3,)),
+                                        ((3,), (), (3,))])
+    @pytest.mark.parametrize("switches", [(True, True), (False, False)])
+    def test_misaligned_batch_is_a_shape_error(self, shapes, switches):
+        """Checked whether or not a component reads ``p``."""
+        d, p, y = (np.full(s, 0.5) for s in shapes)
+        cfg = LossConfig(enable_lr=switches[0], enable_lbce=switches[1])
+        with pytest.raises(ShapeError):
+            total_loss(d, p, y, cfg)
 
     def test_hand_sum(self):
         # components 0.045, 0.025, ln 2 from single-op oracles

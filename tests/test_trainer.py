@@ -468,6 +468,9 @@ class TestSettings:
         ({"epochs": True}, "'epochs'"), ({"epochs": 2.0}, "'epochs'"),
         ({"lr": "0.1"}, "'lr'"), ({"freeze_k": 1.0}, "'freeze_k'"),
         ({"margin": 2.0}, "margin"),
+        ({"lr": float("inf")}, "lr must be a finite"),
+        ({"lr": float("-inf")}, "lr must be a finite"),
+        ({"lr": float("nan")}, "lr must be a finite"),
     ])
     def test_rejected(self, settings, needle):
         with pytest.raises(ConfigError, match=needle):
