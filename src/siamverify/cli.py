@@ -186,7 +186,7 @@ def _cmd_gradcheck(args) -> int:
         return pair_batch_loss(params, batch, cfg, g).total_node
 
     res = grad_check(loss_fn, params.tensors, max_coords_per_tensor=args.max_coords,
-                     seed=args.seed, full_result=True, **_given(args, ("eps",)))
+                     seed=args.seed, **_given(args, ("eps",)))
     if not res.checked:
         raise NumericError(f"no coordinate checked; all {res.skipped} straddled a kink")
     print(f"max relative error: {res.max_relative_error:.3e} (tolerance {args.tol:.3e})")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -57,8 +58,10 @@ class AugmentConfig:
     max_translate_px: int = 2
 
     def __post_init__(self):
-        if self.gaussian_sigma < 0 or self.max_rotation_deg < 0 or self.max_translate_px < 0:
-            raise ConfigError("augmentation magnitudes must be nonnegative")
+        magnitudes = (self.gaussian_sigma, self.max_rotation_deg, self.max_translate_px)
+        if not all(np.isfinite(m) and m >= 0 for m in magnitudes):
+            raise ConfigError(f"augmentation magnitudes must be finite and nonnegative, "
+                              f"got {magnitudes}")
         if not (0.0 <= self.flip_prob <= 1.0):
             raise ConfigError(f"flip_prob {self.flip_prob} outside [0, 1]")
 
@@ -132,11 +135,20 @@ def load_image(rec: ImageRecord, target: tuple[int, int, int]) -> Tensor:
 
 
 def merge_weak_labels(dfw: list[ImageRecord], web: list[ImageRecord]) -> list[ImageRecord]:
-    """Union of curated records and weakly labelled web additions."""
+    """Union of curated records and weakly labelled web additions.
+
+    Each (identity, path) names one record, as within one manifest: training
+    and scoring key their image memos by it.
+    """
     known = {r.identity for r in dfw}
     unknown = sorted({r.identity for r in web} - known)
     if unknown:
         raise ConfigError(f"web identities absent from dfw set: {', '.join(unknown)}")
+    counts = Counter((r.identity, r.path) for r in [*dfw, *web])
+    repeated = sorted(key for key, n in counts.items() if n > 1)
+    if repeated:
+        raise ConfigError(f"duplicate (identity, path) in dfw and web records: "
+                          f"{', '.join(map(str, repeated))}")
     return list(dfw) + [replace(r, source="web", kind="genuine") for r in web]
 
 

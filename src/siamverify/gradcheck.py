@@ -35,14 +35,14 @@ class GradCheckResult:
 
 
 def grad_check(loss_fn, params, eps: float = 1e-5,
-               max_coords_per_tensor: int | None = None, seed: int = 0,
-               full_result: bool = False):
+               max_coords_per_tensor: int | None = None,
+               seed: int = 0) -> GradCheckResult:
     """Compare analytic gradients against central differences.
 
     ``loss_fn(graph_or_None)`` must evaluate the scalar loss from the current
-    parameter values, recording on the graph when one is given.  Returns the
-    worst relative error over all checked coordinates (0 for an empty
-    parameter list), or a ``GradCheckResult`` when ``full_result`` is set.
+    parameter values, recording on the graph when one is given.  Returns a
+    ``GradCheckResult``: the worst relative error over all checked
+    coordinates (0 when none is checked) and the checked and skipped counts.
     Every graph it builds differentiates ``params``, so the base and the
     perturbed kink signatures come from the same recorded ops.
     ``max_coords_per_tensor`` deterministically subsamples coordinates of
@@ -94,6 +94,4 @@ def grad_check(loss_fn, params, eps: float = 1e-5,
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
             worst = max(worst, rel)
             checked += 1
-    if full_result:
-        return GradCheckResult(worst, checked, skipped)
-    return worst
+    return GradCheckResult(worst, checked, skipped)

@@ -40,7 +40,7 @@ def read_image(path) -> np.ndarray:
     with open(path, "rb") as f:
         raw = f.read()
     if path.endswith(F64_SUFFIX):
-        return _decode_f64(raw)
+        return _decode_f64(raw, path)
     if raw[:2] in (b"P5", b"P6"):
         return _decode_pnm(raw)
     raise FormatError(f"unrecognized image format: {path}")
@@ -70,7 +70,7 @@ def _decode_pnm(raw: bytes) -> np.ndarray:
     return arr.reshape(h, w, 3).transpose(2, 0, 1)
 
 
-def _decode_f64(raw: bytes) -> np.ndarray:
+def _decode_f64(raw: bytes, path: str) -> np.ndarray:
     if len(raw) < 12:
         raise FormatError("truncated .f64 header")
     c, h, w = struct.unpack_from("<III", raw, 0)
@@ -78,7 +78,10 @@ def _decode_f64(raw: bytes) -> np.ndarray:
     n = c * h * w
     if len(raw) != 12 + 8 * n:
         raise FormatError("size mismatch in .f64 payload")
-    return np.frombuffer(raw, dtype="<f8", count=n, offset=12).reshape(c, h, w).copy()
+    img = np.frombuffer(raw, dtype="<f8", count=n, offset=12).reshape(c, h, w).copy()
+    if not np.isfinite(img).all():
+        raise FormatError(f"non-finite pixel in .f64 image: {path}")
+    return img
 
 
 def _check_dims(c: int, h: int, w: int) -> None:

@@ -37,8 +37,9 @@ class LossConfig:
     def __post_init__(self):
         if not (0.0 < self.margin <= 1.0):
             raise ConfigError(f"margin {self.margin} outside (0, 1]")
-        if self.w_pos <= 0 or self.w_neg <= 0:
-            raise ConfigError("class weights must be positive")
+        if not all(np.isfinite(w) and w > 0 for w in (self.w_pos, self.w_neg)):
+            raise ConfigError(f"class weights must be finite and positive, "
+                              f"got {self.w_pos}, {self.w_neg}")
 
 
 @dataclass

@@ -181,7 +181,7 @@ def forward_embedding(params: NetworkParams, x: Tensor, g: Graph | None = None) 
     i = 0
     for _, n_convs in params.spec.stages:
         for _ in range(n_convs):
-            h = ops.relu(g, ops.conv2d(g, h, t[2 * i], t[2 * i + 1], stride=1, pad=1))
+            h = ops.relu(g, ops.conv2d(g, h, t[2 * i], t[2 * i + 1]))
             i += 1
         h = ops.maxpool2(g, h)
     h = ops.reshape(g, h, (params.spec.flat_size(),))

@@ -7,17 +7,19 @@ either side; no general broadcasting.  A backward closure keeps only the
 arrays and shapes it reads, never an operand tensor, so a recorded op's
 input dies when the forward pass drops it unless backward needs its values.
 
-Convolution uses the cross-correlation convention (no kernel flip), matching
+The one convolution is VGG's: a 3x3 kernel at stride 1 over the input
+zero-padded by one pixel, so the output keeps the input's height and width.
+It uses the cross-correlation convention (no kernel flip), matching
 mainstream CNN practice.  Its forward lowers the input to im2col columns one
 band of output rows at a time, each band at most ``_COLS_BYTES`` (16 MiB) of
 float64 where one output row fits, so no whole-layer column matrix is built;
 a layer whose columns fit is one band.  A band's gemm may round differently
 from a whole-layer gemm in the last bits, wherever the band starts; a one-band
-layer is unaffected.  On the tape a conv keeps its padded input (the input
-itself when ``pad=0``), not its columns; its backward rebuilds the whole column
-matrix once.  Backward returns ``None`` for an input the tape does not keep
-(``Graph.keeps``), such as an image or a frozen prefix's output, and skips
-that input's gradient gemm and col2im.
+layer is unaffected.  On the tape a conv keeps its padded input, not its
+columns; its backward rebuilds the whole column matrix once.  Backward
+returns ``None`` for an input the tape does not keep (``Graph.keeps``), such
+as an image or a frozen prefix's output, and skips that input's gradient gemm
+and col2im.
 """
 
 from __future__ import annotations
@@ -176,70 +178,63 @@ def linear(g, x, w, b) -> Tensor:
     return _rec(g, out, (x, w, b), backward)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+def _im2col(xp: np.ndarray, ho: int, wo: int) -> np.ndarray:
     c = xp.shape[0]
-    cols = np.empty((c, kh, kw, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    return cols.reshape(c * kh * kw, ho * wo)
+    cols = np.empty((c, 3, 3, ho, wo))
+    for i in range(3):
+        for j in range(3):
+            cols[:, i, j] = xp[:, i:i + ho, j:j + wo]
+    return cols.reshape(c * 9, ho * wo)
 
 
-def _col2im(cols: np.ndarray, c: int, hp: int, wp: int,
-            kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    xp = np.zeros((c, hp, wp))
-    cols = cols.reshape(c, kh, kw, ho, wo)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols[:, i, j]
-    return xp
+def _col2im(cols: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
+    """The input gradient: 3x3 columns of a c x h x w input summed back, padding dropped."""
+    xp = np.zeros((c, h + 2, w + 2))
+    cols = cols.reshape(c, 3, 3, h, w)
+    for i in range(3):
+        for j in range(3):
+            xp[:, i:i + h, j:j + w] += cols[:, i, j]
+    return xp[:, 1:h + 1, 1:w + 1]
 
 
-def conv2d(g, x, kernels, bias, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation over a CHW input; zero padding."""
-    if x.data.ndim != 3 or kernels.data.ndim != 4:
-        raise ShapeError(f"conv2d expects CHW input and OIHW kernels, got {x.shape}, {kernels.shape}")
+def conv2d(g, x, kernels, bias) -> Tensor:
+    """3x3 cross-correlation over a CHW input at stride 1, zero-padded by one pixel.
+
+    The output has the input's height and width, as every VGG convolution does.
+    """
+    if x.data.ndim != 3 or not x.data.size or kernels.data.ndim != 4:
+        raise ShapeError(f"conv2d expects nonempty CHW input and OIHW kernels, "
+                         f"got {x.shape}, {kernels.shape}")
     cin, h, w = x.shape
-    cout, kcin, kh, kw = kernels.shape
-    if kcin != cin:
-        raise ShapeError(f"kernel C_in {kcin} != input C_in {cin}")
+    cout = kernels.shape[0]
+    if kernels.shape[1:] != (cin, 3, 3):
+        raise ShapeError(f"kernels {kernels.shape} are not (cout, {cin}, 3, 3)")
     if bias.shape != (cout,):
         raise ShapeError(f"bias shape {bias.shape} != ({cout},)")
-    hp, wp = h + 2 * pad, w + 2 * pad
-    if kh > hp or kw > wp:
-        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
 
-    if pad:
-        xp = np.zeros((cin, hp, wp))
-        xp[:, pad:pad + h, pad:pad + w] = x.data
-    else:
-        xp = x.data
+    xp = np.zeros((cin, h + 2, w + 2))
+    xp[:, 1:h + 1, 1:w + 1] = x.data
     kmat = kernels.data.reshape(cout, -1)
-    y = np.empty((cout, ho * wo))
-    rows = max(1, _COLS_BYTES // (8 * cin * kh * kw * wo))
-    for r0 in range(0, ho, rows):
-        r1 = min(r0 + rows, ho)
-        band = xp[:, stride * r0:stride * (r1 - 1) + kh]
+    y = np.empty((cout, h * w))
+    rows = max(1, _COLS_BYTES // (8 * cin * 9 * w))
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
         # BLAS may round a band's gemm differently from the whole layer's in the last bits
-        np.matmul(kmat, _im2col(band, kh, kw, stride, r1 - r0, wo), out=y[:, r0 * wo:r1 * wo])
+        np.matmul(kmat, _im2col(xp[:, r0:r1 + 2], r1 - r0, w), out=y[:, r0 * w:r1 * w])
     y += bias.data[:, None]
-    out = Tensor(y.reshape(cout, ho, wo))
+    out = Tensor(y.reshape(cout, h, w))
 
     kshape = kernels.shape
     want_dx = g is not None and g.keeps(x)
 
     def backward(go):
-        cols = _im2col(xp, kh, kw, stride, ho, wo)
+        cols = _im2col(xp, h, w)
         gmat = go.reshape(cout, -1)
         dk = (gmat @ cols.T).reshape(kshape)
         db = gmat.sum(axis=1)
         if not want_dx:
             return (None, dk, db)
-        dxp = _col2im(kmat.T @ gmat, cin, hp, wp, kh, kw, stride, ho, wo)
-        dx = dxp[:, pad:pad + h, pad:pad + w] if pad else dxp
-        return (dx, dk, db)
+        return (_col2im(kmat.T @ gmat, cin, h, w), dk, db)
 
     return _rec(g, out, (x, kernels, bias), backward)
 

@@ -36,6 +36,11 @@ class TrainConfig:
     class_balance: bool = True  # False = use loss.w_pos / loss.w_neg as given
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed", "checkpoint_every", "freeze_k"):
+            value = getattr(self, name)
+            counts = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not counts and not (name == "freeze_k" and value is None):  # bool is no count
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be a finite positive number, got {self.lr}")
         if self.batch_size < 1:

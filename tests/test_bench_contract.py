@@ -46,7 +46,7 @@ def _relu_pool_step():
     k = Tensor(rng.standard_normal((2, 2, 3, 3)))
     b = Tensor(rng.standard_normal(2))
     g = Graph([x, k, b])
-    y = ops.maxpool2(g, ops.relu(g, ops.conv2d(g, x, k, b, 1, 1)))
+    y = ops.maxpool2(g, ops.relu(g, ops.conv2d(g, x, k, b)))
     loss = ops.tsum(g, ops.mul(g, y, y))
     sig = _kink_signature(g)
     grads = g.backward(loss)

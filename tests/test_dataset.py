@@ -163,6 +163,15 @@ class TestLoadImage:
         with pytest.raises(FormatError, match="positive"):
             load_image(rec(path=str(path)), (1, 4, 4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_f64_non_finite_pixel_names_the_file(self, tmp_path, bad):
+        img = np.zeros((1, 4, 4))
+        img[0, 2, 1] = bad
+        path = tmp_path / "a.f64"
+        write_f64(path, img)
+        with pytest.raises(FormatError, match="non-finite.*a.f64"):
+            load_image(rec(path=str(path)), (1, 4, 4))
+
 
 class TestMergeWeakLabels:
     def test_reflags_web_records(self):
@@ -177,6 +186,13 @@ class TestMergeWeakLabels:
         with pytest.raises(ConfigError, match="id98, id99"):
             merge_weak_labels([rec()], [ImageRecord("id99", "w", "genuine"),
                                         ImageRecord("id98", "v", "genuine")])
+
+    def test_repeated_identity_path_listed(self):
+        # a web record of a curated image would be fed the curated record's crop
+        dfw = [rec(), rec(path="b.pgm"), rec(identity="id02", path="b.pgm")]
+        web = [rec(path="b.pgm", bbox=(0, 0, 4, 4)), rec(path="a.pgm"), rec(path="w.pgm")]
+        with pytest.raises(ConfigError, match=r"\('id01', 'a.pgm'\), \('id01', 'b.pgm'\)$"):
+            merge_weak_labels(dfw, web)
 
 
 def brute_force_pairs(records, protocol):
@@ -303,4 +319,10 @@ class TestAugment:
             AugmentConfig(gaussian_sigma=-0.1)
         with pytest.raises(ConfigError):
             AugmentConfig(flip_prob=1.5)
+
+    @pytest.mark.parametrize("field", ["gaussian_sigma", "max_rotation_deg", "max_translate_px"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_magnitude_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            AugmentConfig(**{field: value})
 

@@ -149,6 +149,12 @@ class TestContrastive:
         with pytest.raises(ConfigError):
             LossConfig(margin=0.0)
 
+    @pytest.mark.parametrize("w_pos,w_neg", [(np.nan, 1.0), (1.0, np.inf), (np.nan, np.inf),
+                                             (0.0, 1.0), (1.0, -2.0)])
+    def test_class_weights_finite_and_positive(self, w_pos, w_neg):
+        with pytest.raises(ConfigError, match="class weights"):
+            LossConfig(w_pos=w_pos, w_neg=w_neg)
+
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10), st.data())
     @settings(max_examples=50, deadline=None)
     def test_zero_iff_positives_zero_negatives_past_margin(self, ds, data):
@@ -286,7 +292,7 @@ class TestLossGradients:
         cfg = LossConfig(margin=0.5)
         d = Tensor(np.array([0.5 + offset, 0.2]))
         y = np.array([0.0, 1.0])
-        err = grad_check(lambda g: contrastive_loss(d, y, cfg, g), [d], eps=1e-5)
+        err = grad_check(lambda g: contrastive_loss(d, y, cfg, g), [d], eps=1e-5).max_relative_error
         assert err < 1e-4
 
     def test_hinge_boundary_subgradient_zero(self):
@@ -307,4 +313,4 @@ class TestLossGradients:
             d = ops.stack(g, [cosine_distance(a, b, g)])
             return total_loss(d, p, np.array([0.0]), cfg, g).total_node
 
-        assert grad_check(loss_fn, [a, b, p], eps=1e-5) < 1e-4
+        assert grad_check(loss_fn, [a, b, p], eps=1e-5).max_relative_error < 1e-4

@@ -231,7 +231,7 @@ class TestPositionalWalk:
         def loss_fn(g):
             return pair_batch_loss(params, batch, LossConfig(), g).total_node
 
-        assert grad_check(loss_fn, params.tensors, eps=1e-5) < 1e-4
+        assert grad_check(loss_fn, params.tensors, eps=1e-5).max_relative_error < 1e-4
 
 
 def test_untaped_embedding_peak_is_bounded_by_the_band_budget():

@@ -236,8 +236,7 @@ class TestTape:
             tape_lengths.add(len(g))
             return out
 
-        result = grad_check(loss_fn, live, eps=1e-5, max_coords_per_tensor=20, seed=0,
-                            full_result=True)
+        result = grad_check(loss_fn, live, eps=1e-5, max_coords_per_tensor=20, seed=0)
         assert result.max_relative_error < 1e-4
         assert result.checked > 100
         # every graph grad_check builds leaves the frozen prefix off its tape
@@ -436,6 +435,15 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 2.5), ("epochs", float("inf")), ("epochs", True), ("seed", 1.0),
+        ("checkpoint_every", "1"), ("freeze_k", 1.5), ("freeze_k", False),
+    ])
+    def test_counts_are_ints(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an int"):
+            TrainConfig(**{field: value})
+        assert getattr(TrainConfig(**{field: np.int64(2)}), field) == 2
 
     def test_negative_checkpoint_every(self):
         with pytest.raises(ConfigError, match="checkpoint_every"):
