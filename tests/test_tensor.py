@@ -86,18 +86,20 @@ def _whole_layer_conv(x, k, b, stride, pad, go):
 class TestConv2dBands:
     """Banded im2col gives the whole-layer conv's bytes, forward and backward."""
 
+    @pytest.mark.parametrize("cin,extra_row", [(1, 0), (1, 1), (2, 0), (2, 1)])
     @pytest.mark.parametrize("rows", [1, 2, 3, None])  # None: the default budget, one band
-    def test_bands_match_whole_layer(self, monkeypatch, rows):
-        # bitwise equality holds for this small 2->3-channel, 8-column-wide conv on
-        # the BLAS builds tried; it is no general rule: other banded shapes (an
-        # 8->14-channel conv 27 columns wide in 8-row bands) move the last bits
+    def test_bands_match_whole_layer(self, monkeypatch, cin, extra_row, rows):
+        # bitwise equality holds for these small 1- or 2->3-channel, 8-column-wide
+        # convs on the BLAS builds tried; it is no general rule: other banded shapes
+        # (an 8->14-channel conv 27 columns wide in 8-row bands) move the last bits
         w = 8
-        rng = np.random.default_rng(11)
-        xv = rng.standard_normal((2, 11, w))
-        kv, bv = rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3)
+        rng = np.random.default_rng(10 * cin + extra_row)
+        xv = rng.standard_normal((cin, 12 + extra_row, w))
+        kv, bv = rng.standard_normal((3, cin, 3, 3)), rng.standard_normal(3)
         if rows is not None:
-            # 2, 3: the last band is shorter, as 11 rows are no multiple of either
-            monkeypatch.setattr(ops, "_COLS_BYTES", rows * 8 * 2 * 3 * 3 * w)
+            # 2, 3: 12 rows split into whole bands; with the extra row the last band
+            # is shorter, as 13 rows are no multiple of either
+            monkeypatch.setattr(ops, "_COLS_BYTES", rows * 8 * cin * 3 * 3 * w)
         x, k, b = Tensor(xv), Tensor(kv), Tensor(bv)
         g = Graph([x, k, b])
         out = ops.conv2d(g, x, k, b)
@@ -124,13 +126,14 @@ class TestConv2dBands:
         grads = g.backward(ops.tsum(g, out))
         assert grads[x].shape == x.shape and grads[k].shape == k.shape
 
-    def test_unkept_input_gets_no_gradient(self, monkeypatch):
+    @pytest.mark.parametrize("extra_col", [0, 1])  # 1: a 7x8 input, height != width
+    def test_unkept_input_gets_no_gradient(self, monkeypatch, extra_col):
         # an input the tape does not keep gets None from the closure, and its
         # gemm and col2im are skipped; the kernel and bias gradients keep their bytes
-        rng = np.random.default_rng(1)
-        xv, kv, bv = (rng.standard_normal((2, 7, 7)), rng.standard_normal((3, 2, 3, 3)),
-                      rng.standard_normal(3))
-        go = rng.standard_normal((3, 7, 7))
+        rng = np.random.default_rng(extra_col)
+        xv, kv, bv = (rng.standard_normal((2, 7, 7 + extra_col)),
+                      rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3))
+        go = rng.standard_normal((3, 7, 7 + extra_col))
         calls = []
         col2im = ops._col2im
         monkeypatch.setattr(ops, "_col2im", lambda *a: calls.append(a) or col2im(*a))
