@@ -62,6 +62,9 @@ class AugmentConfig:
         if not all(np.isfinite(m) and m >= 0 for m in magnitudes):
             raise ConfigError(f"augmentation magnitudes must be finite and nonnegative, "
                               f"got {magnitudes}")
+        shift = self.max_translate_px
+        if isinstance(shift, bool) or not isinstance(shift, (int, np.integer)):
+            raise ConfigError(f"max_translate_px must be an int, got {shift!r}")
         if not (0.0 <= self.flip_prob <= 1.0):
             raise ConfigError(f"flip_prob {self.flip_prob} outside [0, 1]")
 

@@ -89,22 +89,40 @@ def _check_dims(c: int, h: int, w: int) -> None:
         raise FormatError(f"image dimensions must be positive, got {c}x{h}x{w}")
 
 
+def _taps(pos: np.ndarray, n: int):
+    """Clamped index and weight of the two taps (floor, floor + 1) of each position on one axis.
+
+    A tap that clamping moves lies outside [0, n) and gets weight 0, so the
+    weight already carries the tap's mask.
+    """
+    i0 = np.floor(pos)
+    f = pos - i0
+    i0 = i0.astype(np.intp)
+    taps = []
+    for i, wgt in ((i0, 1 - f), (i0 + 1, f)):
+        clamped = np.minimum(np.maximum(i, 0), n - 1)
+        taps.append((clamped, wgt * (clamped == i)))
+    return taps
+
+
 def bilinear_sample(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sample a CHW image at fractional (row, col) grids; zero outside."""
-    _, h, w = img.shape
-    r0 = np.floor(rows).astype(int)
-    c0 = np.floor(cols).astype(int)
-    fr = rows - r0
-    fc = cols - c0
-    out = np.zeros((img.shape[0],) + rows.shape)
-    for dr, dc, wgt in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
-                        (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
-        rr = r0 + dr
-        cc = c0 + dc
-        valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-        rs = np.clip(rr, 0, h - 1)
-        cs = np.clip(cc, 0, w - 1)
-        out += img[:, rs, cs] * (wgt * valid)
+    """Sample a CHW image at fractional (row, col) positions; zero outside.
+
+    ``rows`` and ``cols`` broadcast against each other, so a ``(H, 1)`` column
+    and a ``(1, W)`` row sample an H x W grid.  The output holds, per sample,
+    the four taps (0,0), (0,1), (1,0), (1,1) added in that order into zeros,
+    each as pixel times row weight times column weight.
+    """
+    c, h, w = img.shape
+    flat = img.reshape(c, h * w)
+    col_taps = _taps(cols, w)
+    out = np.zeros((c,) + np.broadcast(rows, cols).shape)
+    for ri, wr in _taps(rows, h):
+        ri = ri * w
+        for ci, wc in col_taps:
+            tap = flat.take(ri + ci, axis=1)
+            tap *= wr * wc
+            out += tap
     return out
 
 
@@ -115,11 +133,10 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         return img.copy()
     rows = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
     cols = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    rgrid, cgrid = np.meshgrid(rows, cols, indexing="ij")
     # clamp to edges: resize should not introduce dark borders
-    rgrid = np.clip(rgrid, 0, h - 1)
-    cgrid = np.clip(cgrid, 0, w - 1)
-    return bilinear_sample(img, rgrid, cgrid)
+    rows = np.minimum(np.maximum(rows, 0), h - 1)
+    cols = np.minimum(np.maximum(cols, 0), w - 1)
+    return bilinear_sample(img, rows[:, None], cols)
 
 
 def rotate(img: np.ndarray, degrees: float) -> np.ndarray:
@@ -128,13 +145,13 @@ def rotate(img: np.ndarray, degrees: float) -> np.ndarray:
         return img.copy()
     _, h, w = img.shape
     theta = np.deg2rad(degrees)
+    cos, sin = np.cos(theta), np.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    rr, cc = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
     # inverse map: output pixel pulls from the source rotated by -theta
-    dy, dx = rr - cy, cc - cx
-    src_r = cy + np.cos(theta) * dy - np.sin(theta) * dx
-    src_c = cx + np.sin(theta) * dy + np.cos(theta) * dx
+    dy = (np.arange(h, dtype=np.float64) - cy)[:, None]
+    dx = np.arange(w, dtype=np.float64) - cx
+    src_r = cy + cos * dy - sin * dx
+    src_c = cx + sin * dy + cos * dx
     return bilinear_sample(img, src_r, src_c)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -149,7 +150,9 @@ class NetworkParams:
 
 
 def build_network(spec: NetworkSpec, seed: int) -> NetworkParams:
-    """He-uniform weights, zero biases; deterministic for a fixed seed."""
+    """He-uniform weights, zero biases; deterministic for a fixed seed (an int >= 0)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     tensors = []
     for _, w_shape, b_shape in spec.layer_shapes():
@@ -157,7 +160,7 @@ def build_network(spec: NetworkSpec, seed: int) -> NetworkParams:
         limit = np.sqrt(6.0 / fan_in)
         tensors.append(Tensor(rng.uniform(-limit, limit, size=w_shape)))
         tensors.append(Tensor(np.zeros(b_shape)))
-    return NetworkParams(spec=spec, tensors=tensors, seed=seed)
+    return NetworkParams(spec=spec, tensors=tensors, seed=int(seed))  # a JSON int in checkpoints
 
 
 def freeze_prefix(params: NetworkParams, k: int) -> NetworkParams:
@@ -228,52 +231,53 @@ def save_params(params: NetworkParams, path) -> None:
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         f.write(blob)
         for t in params.tensors:
-            f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(t.data, dtype="<f8"))  # no copy of a C-order float64
 
 
 def load_params(path, expect_spec: NetworkSpec | None = None) -> NetworkParams:
+    """Read a checkpoint, each tensor straight from the file into its own array."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise FormatError("bad checkpoint magic")
-    off = len(CHECKPOINT_MAGIC)
-    try:
-        version, blob_len = struct.unpack_from("<II", raw, off)
-    except struct.error as exc:
-        raise FormatError("truncated checkpoint header") from exc
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
-    off += 8
-    try:
-        header = json.loads(raw[off:off + blob_len])
-    except (ValueError, RecursionError) as exc:
-        raise FormatError("corrupt checkpoint header") from exc
-    off += blob_len
-    if (not isinstance(header, dict) or not isinstance(header.get("spec"), dict)
-            or "fingerprint" not in header):
-        raise FormatError("checkpoint header needs a spec object and a fingerprint")
-    try:
-        spec = NetworkSpec.from_dict(header["spec"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed spec in checkpoint header: {exc}") from exc
-    if spec.fingerprint() != header["fingerprint"]:
-        raise FormatError("spec fingerprint mismatch inside checkpoint")
-    if expect_spec is not None and expect_spec.fingerprint() != header["fingerprint"]:
-        raise FormatError(
-            f"checkpoint built for spec {spec.name!r}, expected {expect_spec.name!r}")
-    if 16 * spec.weighted_layer_count > len(raw) - off:  # 2 float64s a layer, at least
-        raise FormatError("truncated checkpoint payload")
-    tensors = []
-    for _, w_shape, b_shape in spec.layer_shapes():
-        for shape in (w_shape, b_shape):
-            n = math.prod(shape) * 8  # a Python int: no int64 wrap on a huge spec
-            if off + n > len(raw):
-                raise FormatError("truncated checkpoint payload")
-            tensors.append(Tensor(np.frombuffer(raw, dtype="<f8", count=n // 8,
-                                                offset=off).reshape(shape).copy()))
-            off += n
-    if off != len(raw):
-        raise FormatError("trailing bytes in checkpoint")
+        size = os.fstat(f.fileno()).st_size
+        if f.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise FormatError("bad checkpoint magic")
+        try:
+            version, blob_len = struct.unpack("<II", f.read(8))
+        except struct.error as exc:
+            raise FormatError("truncated checkpoint header") from exc
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"unsupported checkpoint version {version}")
+        try:
+            header = json.loads(f.read(min(blob_len, size - f.tell())))
+        except (ValueError, RecursionError) as exc:
+            raise FormatError("corrupt checkpoint header") from exc
+        if (not isinstance(header, dict) or not isinstance(header.get("spec"), dict)
+                or "fingerprint" not in header):
+            raise FormatError("checkpoint header needs a spec object and a fingerprint")
+        try:
+            spec = NetworkSpec.from_dict(header["spec"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"malformed spec in checkpoint header: {exc}") from exc
+        if spec.fingerprint() != header["fingerprint"]:
+            raise FormatError("spec fingerprint mismatch inside checkpoint")
+        if expect_spec is not None and expect_spec.fingerprint() != header["fingerprint"]:
+            raise FormatError(
+                f"checkpoint built for spec {spec.name!r}, expected {expect_spec.name!r}")
+        left = size - f.tell()
+        if 16 * spec.weighted_layer_count > left:  # 2 float64s a layer, at least
+            raise FormatError("truncated checkpoint payload")
+        tensors = []
+        for _, w_shape, b_shape in spec.layer_shapes():
+            for shape in (w_shape, b_shape):
+                n = math.prod(shape) * 8  # a Python int: no int64 wrap on a huge spec
+                if n > left:  # checked before the array is allocated
+                    raise FormatError("truncated checkpoint payload")
+                data = np.empty(shape, dtype="<f8")
+                if f.readinto(data) != n:
+                    raise FormatError("truncated checkpoint payload")
+                tensors.append(Tensor(data))
+                left -= n
+        if left:
+            raise FormatError("trailing bytes in checkpoint")
     freeze = header.get("freeze", [False] * len(tensors))
     if (not isinstance(freeze, list) or len(freeze) != len(tensors)
             or not all(isinstance(f, bool) for f in freeze)):

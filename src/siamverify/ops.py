@@ -244,7 +244,8 @@ def maxpool2(g, x) -> Tensor:
 
     The kink pattern is the argmax, 0..3 in window order (row-major within
     the 2x2 window); the first maximum wins and a NaN counts as the maximum,
-    as ``np.argmax`` has it.  The tape keeps only that argmax.
+    as ``np.argmax`` has it.  The tape keeps only that argmax, and it is built
+    only when the tape records this call (``g`` keeps ``x``).
     """
     if x.data.ndim != 3:
         raise ShapeError(f"maxpool2 expects CHW input, got {x.shape}")
@@ -254,11 +255,12 @@ def maxpool2(g, x) -> Tensor:
     offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
     views = [x.data[:, i::2, j::2] for i, j in offsets]
     out = views[0].copy()
-    idx = np.zeros(out.shape, dtype=np.intp)
+    idx = np.zeros(out.shape, dtype=np.intp) if g is not None and g.keeps(x) else None
     for k, v in enumerate(views[1:], 1):
         take = ~(v <= out) & (out == out)  # v > out, or v is the first NaN
         np.copyto(out, v, where=take)
-        idx[take] = k
+        if idx is not None:
+            np.copyto(idx, k, where=take)
 
     def backward(go):
         dx = np.zeros((c, h, w))

@@ -45,10 +45,10 @@ class TrainConfig:
             raise ConfigError(f"lr must be a finite positive number, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.checkpoint_every < 0:
-            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+        for name in ("epochs", "seed", "checkpoint_every", "freeze_k"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
 # Every run setting under the one name that --config files, ablation grid entries

@@ -95,6 +95,11 @@ class TestGradcheck:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ConfigError: max_coords_per_tensor")
 
+    def test_negative_seed_is_a_config_error(self, capsys):
+        assert main(["gradcheck", "--profile", "tiny", "--seed", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ConfigError: seed must be an int >= 0")
+
     def test_nothing_checked_fails(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "grad_check",
                             lambda *a, **k: GradCheckResult(0.0, checked=0, skipped=7))
@@ -348,6 +353,24 @@ class TestSettings:
         err = capsys.readouterr().err
         assert "ConfigError" in err and needle in err
         assert seen == [] and not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command,flags,needle", [
+        ("train", ["--seed", "-1"], "seed must be >= 0"),
+        ("train", ["--freeze-k", "-3"], "freeze_k must be >= 0"),
+        ("ablate", ["--seed", "-1"], "seed must be >= 0"),
+    ], ids=["train-seed", "train-freeze-k", "ablate-seed"])
+    def test_negative_flag_exits_1_writing_nothing(self, corpus, tmp_path, capsys, command,
+                                                   flags, needle):
+        out = tmp_path / "run"
+        args = [command, "--manifest", corpus[0], "--out", str(out)] + flags
+        if command == "ablate":
+            grid_path = tmp_path / "grid.json"
+            grid_path.write_text(json.dumps([{"label": "m01", "margin": 0.1}]))
+            args += ["--grid", str(grid_path)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError:") and needle in err
+        assert not out.exists()
 
     def test_config_switches_reach_train_config(self, corpus, tmp_path, monkeypatch, capsys):
         seen = _capture_train(monkeypatch)

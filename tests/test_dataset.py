@@ -320,6 +320,12 @@ class TestAugment:
         with pytest.raises(ConfigError):
             AugmentConfig(flip_prob=1.5)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    def test_translate_must_be_an_int(self, value):
+        with pytest.raises(ConfigError, match="max_translate_px must be an int"):
+            AugmentConfig(max_translate_px=value)
+        assert AugmentConfig(max_translate_px=np.int64(2)).max_translate_px == 2
+
     @pytest.mark.parametrize("field", ["gaussian_sigma", "max_rotation_deg", "max_translate_px"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_magnitude_rejected(self, field, value):

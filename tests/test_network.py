@@ -107,6 +107,17 @@ class TestBuild:
         assert all(np.array_equal(x.data, y.data) for x, y in zip(a.tensors, b.tensors))
         assert any(not np.array_equal(x.data, y.data) for x, y in zip(a.tensors, c.tensors))
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.0])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an int >= 0"):
+            build_network(TINY, seed=seed)
+
+    def test_numpy_int_seed_saves_as_an_int(self, tmp_path):
+        a, b = tmp_path / "np.dgnet", tmp_path / "int.dgnet"
+        save_params(build_network(TINY, seed=np.int64(3)), a)
+        save_params(build_network(TINY, seed=3), b)
+        assert a.read_bytes() == b.read_bytes() and load_params(a).seed == 3
+
     def test_he_uniform_bounds(self):
         params = build_network(TINY, seed=1)
         layers = zip(params.tensors[::2], params.tensors[1::2])
@@ -287,6 +298,59 @@ class TestCheckpoint:
         padded.write_bytes(raw + b"\x00" * 8)
         with pytest.raises(FormatError):
             load_params(padded)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda raw: raw[:5], "bad checkpoint magic"),
+        (lambda raw: raw[:11], "truncated checkpoint header"),
+        (lambda raw: raw[:40], "corrupt checkpoint header"),
+        (lambda raw: raw[:400], "truncated checkpoint payload"),
+        (lambda raw: raw[:-2000], "truncated checkpoint payload"),
+        (lambda raw: raw[:-16], "truncated checkpoint payload"),
+        (lambda raw: raw + bytes(8), "trailing bytes in checkpoint"),
+    ], ids=["magic", "version", "header", "first-tensor", "mid-payload", "last-tensor",
+            "trailing"])
+    def test_truncated_and_trailing_messages(self, tmp_path, edit, message):
+        path = tmp_path / "net.dgnet"
+        save_params(build_network(TINY, seed=0), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            load_params(path)
+
+    def test_header_length_past_the_end_is_a_corrupt_header(self, tmp_path):
+        path = tmp_path / "net.dgnet"
+        save_params(build_network(TINY, seed=0), path)
+        raw = bytearray(path.read_bytes())
+        raw[11:15] = (2 ** 32 - 1).to_bytes(4, "little")  # header length field
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="corrupt checkpoint header"):
+                load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(raw)  # bytes the file holds, not the 4 GiB its header claims
+
+    def test_checkpoint_io_keeps_no_second_copy(self, tmp_path):
+        # fc1 is 16384 x 512 float64: 64 MiB
+        spec = NetworkSpec(input_shape=(1, 64, 64), stages=((16, 1),), fc=(512, 8), head=(4, 1))
+        params = build_network(spec, seed=0)
+        path = tmp_path / "big.dgnet"
+        tracemalloc.start()
+        try:
+            save_params(params, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            del params
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            again = load_params(path, expect_spec=spec)
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        result = sum(t.data.nbytes for t in again.tensors)
+        assert result >= 64 * 2 ** 20
+        assert save_peak < 2 ** 20
+        assert load_peak <= result + 2 ** 20, (load_peak, result)
 
     def test_failed_save_keeps_old_file(self, tmp_path):
         class Unreadable:

@@ -181,6 +181,52 @@ class TestPrimitives:
         with pytest.raises(ShapeError):
             ops.maxpool2(None, Tensor(np.zeros((1, 3, 4))))
 
+    @staticmethod
+    def _ties_and_nans(seed):
+        """Small integers with signed zeros, so windows tie, plus NaN in some windows."""
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2, 3, (3, 6, 8)).astype(np.float64)
+        x[rng.random(x.shape) < 0.15] = -0.0
+        x[rng.random(x.shape) < 0.1] = np.nan
+        return x
+
+    @staticmethod
+    def _windows(x):
+        c, h, w = x.shape
+        return x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(
+            c, h // 2, w // 2, 4)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_maxpool_unrecorded_forward_equals_recorded(self, seed):
+        x = Tensor(self._ties_and_nans(seed))
+        g = Graph([x])
+        recorded = ops.maxpool2(g, x)
+        assert len(g) == 1
+        unkept = Graph([Tensor(0.0)])
+        for out in (ops.maxpool2(None, x), ops.maxpool2(unkept, x)):
+            assert out.data.tobytes() == recorded.data.tobytes()
+        assert len(unkept) == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_maxpool_pattern_and_backward_follow_window_argmax(self, seed):
+        xv = self._ties_and_nans(seed)
+        x = Tensor(xv)
+        g = Graph([x])
+        out = ops.maxpool2(g, x)
+        (_, _, backward_fn, pattern), = g.nodes
+        win = self._windows(xv)
+        want = win.argmax(axis=-1)  # first maximum, first NaN
+        assert pattern.dtype == np.intp and np.array_equal(pattern, want)
+        picked = np.take_along_axis(win, want[..., None], axis=-1)[..., 0]
+        assert out.data.tobytes() == picked.tobytes()
+        go = np.random.default_rng(seed + 100).standard_normal(out.shape)
+        dx, = backward_fn(go)
+        c, h, w = xv.shape
+        routed = np.zeros(win.shape)
+        np.put_along_axis(routed, want[..., None], go[..., None], axis=-1)
+        routed = routed.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4)
+        assert dx.tobytes() == routed.reshape(c, h, w).tobytes()
+
     def test_sigmoid_symmetry_point(self):
         assert ops.sigmoid(None, Tensor(0.0)).item() == 0.5
 

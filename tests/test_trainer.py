@@ -445,6 +445,14 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
         assert getattr(TrainConfig(**{field: np.int64(2)}), field) == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("seed", -1), ("freeze_k", -3), ("epochs", -1), ("checkpoint_every", -1),
+    ])
+    def test_negative_counts_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be >= 0, got {value}"):
+            TrainConfig(**{field: value})
+        assert getattr(TrainConfig(**{field: 0}), field) == 0
+
     def test_negative_checkpoint_every(self):
         with pytest.raises(ConfigError, match="checkpoint_every"):
             TrainConfig(checkpoint_every=-1)
