@@ -58,6 +58,12 @@ class AugmentConfig:
     max_translate_px: int = 2
 
     def __post_init__(self):
+        for name in ("gaussian_sigma", "flip_prob", "max_rotation_deg", "max_translate_px"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                                 np.floating)):
+                kind = "an int" if name == "max_translate_px" else "a real number"
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
         magnitudes = (self.gaussian_sigma, self.max_rotation_deg, self.max_translate_px)
         if not all(np.isfinite(m) and m >= 0 for m in magnitudes):
             raise ConfigError(f"augmentation magnitudes must be finite and nonnegative, "

@@ -176,18 +176,27 @@ def freeze_prefix(params: NetworkParams, k: int) -> NetworkParams:
 
 
 def forward_embedding(params: NetworkParams, x: Tensor, g: Graph | None = None) -> Tensor:
-    """One stream: conv stages -> flatten -> fc1 -> fc2, rectified throughout."""
-    if x.shape != params.spec.input_shape:
-        raise ShapeError(f"input shape {x.shape} != spec {params.spec.input_shape}")
+    """One stream: conv stages -> flatten -> fc1 -> fc2, rectified throughout.
+
+    ``x`` is one (C, H, W) image, embedded to an (fc2,) vector, or an
+    (n, C, H, W) stack, embedded to (n, fc2) rows as one tensor per layer:
+    the convs read the n images' channels back to back and fc1 and fc2 run
+    over rows, so each row and every gradient has the bits of its image
+    embedded alone.
+    """
+    shape = params.spec.input_shape
+    if x.shape[-3:] != shape or x.data.ndim not in (3, 4):
+        raise ShapeError(f"input shape {x.shape} is not spec {shape} or a stack of it")
+    lead = x.shape[:-3]  # () for one image, (n,) for a stack
     t = params.tensors  # layer i's weight and bias are t[2*i], t[2*i + 1]
-    h = x
+    h = ops.reshape(g, x, (-1, *shape[1:])) if lead else x
     i = 0
     for _, n_convs in params.spec.stages:
         for _ in range(n_convs):
             h = ops.relu(g, ops.conv2d(g, h, t[2 * i], t[2 * i + 1]))
             i += 1
         h = ops.maxpool2(g, h)
-    h = ops.reshape(g, h, (params.spec.flat_size(),))
+    h = ops.reshape(g, h, (*lead, params.spec.flat_size()))
     for _ in params.spec.fc:
         h = ops.relu(g, ops.linear(g, h, t[2 * i], t[2 * i + 1]))
         i += 1

@@ -10,16 +10,23 @@ input dies when the forward pass drops it unless backward needs its values.
 The one convolution is VGG's: a 3x3 kernel at stride 1 over the input
 zero-padded by one pixel, so the output keeps the input's height and width.
 It uses the cross-correlation convention (no kernel flip), matching
-mainstream CNN practice.  Its forward lowers the input to im2col columns one
-band of output rows at a time, each band at most ``_COLS_BYTES`` (16 MiB) of
-float64 where one output row fits, so no whole-layer column matrix is built;
-a layer whose columns fit is one band.  A band's gemm may round differently
-from a whole-layer gemm in the last bits, wherever the band starts; a one-band
-layer is unaffected.  On the tape a conv keeps its padded input, not its
-columns; its backward rebuilds the whole column matrix once.  Backward
-returns ``None`` for an input the tape does not keep (``Graph.keeps``), such
-as an image or a frozen prefix's output, and skips that input's gradient gemm
-and col2im.
+mainstream CNN practice.  Its input is n images' channels back to back,
+``(n * cin, h, w)``, and its output likewise ``(n * cout, h, w)``; n = 1 is one
+CHW image, and ``relu`` and ``maxpool2`` act on each channel alike, so a
+stack of images runs through the conv stages as one tensor.  The forward
+lowers each image to im2col columns one band of output rows at a time, each
+band at most ``_COLS_BYTES`` (16 MiB) of float64 where one output row fits,
+so no whole-layer column matrix is built; a layer whose columns fit is one
+band.  A band's gemm may round differently from a whole-layer gemm in the
+last bits, wherever the band starts; a one-band layer is unaffected.  On the
+tape a conv keeps its padded input, not its columns.  Its backward goes
+image by image from the last to the first, rebuilding that image's whole
+column matrix and adding its kernel and bias gradients onto a running sum
+that starts from the last image's, as the tape adds the gradients of n
+one-image calls, so each image and each gradient keeps the bits of one-image
+calls.  Backward returns ``None`` for an input the tape does not keep
+(``Graph.keeps``), such as an image or a frozen prefix's output, and skips
+that input's gradient gemm and col2im.
 """
 
 from __future__ import annotations
@@ -145,7 +152,7 @@ def reshape(g, a, shape) -> Tensor:
 
 
 def stack(g, tensors) -> Tensor:
-    """Stack tensors of one shape on a new first axis: scalars into a vector, vectors into rows."""
+    """Stack tensors of one shape on a new first axis: scalars, vectors or images."""
     if not tensors or any(t.shape != tensors[0].shape for t in tensors):
         raise ShapeError(f"stack expects tensors of one shape, got {[t.shape for t in tensors]}")
     out = Tensor(np.stack([t.data for t in tensors]))
@@ -178,13 +185,34 @@ def linear(g, x, w, b) -> Tensor:
     return _rec(g, out, (x, w, b), backward)
 
 
-def _im2col(xp: np.ndarray, ho: int, wo: int) -> np.ndarray:
-    c = xp.shape[0]
-    cols = np.empty((c, 3, 3, ho, wo))
-    for i in range(3):
-        for j in range(3):
-            cols[:, i, j] = xp[:, i:i + ho, j:j + wo]
-    return cols.reshape(c * 9, ho * wo)
+def every_other_row(g, a, start: int) -> Tensor:
+    """Rows start, start + 2, ... of ``a``: one of two streams stacked alternately.
+
+    Backward scatters the gradient into an array of -0.0, the identity of
+    float addition, so where the tape adds the two streams' gradients every
+    bit is kept, the sign of a zero included.
+    """
+    out = Tensor(a.data[start::2])
+    sa = a.shape
+
+    def backward(go):
+        grad = np.full(sa, -0.0)
+        grad[start::2] = go
+        return (grad,)
+
+    return _rec(g, out, (a,), backward)
+
+
+def _im2col(xp: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """The 3x3 columns of output rows r0..r1 of a C-contiguous padded (c, h + 2, w + 2) input.
+
+    One strided view over ``xp``'s buffer, then one copy.
+    """
+    c, _, wp = xp.shape
+    s0, s1, s2 = xp.strides
+    view = np.ndarray((c, 3, 3, r1 - r0, wp - 2), buffer=xp, offset=r0 * s1,
+                      strides=(s0, s1, s2, s1, s2))
+    return view.reshape(c * 9, (r1 - r0) * (wp - 2))
 
 
 def _col2im(cols: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
@@ -198,43 +226,55 @@ def _col2im(cols: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
 
 
 def conv2d(g, x, kernels, bias) -> Tensor:
-    """3x3 cross-correlation over a CHW input at stride 1, zero-padded by one pixel.
+    """3x3 cross-correlation at stride 1, zero-padded by one pixel, of each image in ``x``.
 
-    The output has the input's height and width, as every VGG convolution does.
+    ``x`` is n images' channels back to back, ``(n * cin, h, w)`` with cin
+    ``kernels.shape[1]``, and the output is ``(n * cout, h, w)``: each image
+    keeps its height and width, as every VGG convolution does.
     """
     if x.data.ndim != 3 or not x.data.size or kernels.data.ndim != 4:
-        raise ShapeError(f"conv2d expects nonempty CHW input and OIHW kernels, "
+        raise ShapeError(f"conv2d expects nonempty (n * cin, h, w) input and OIHW kernels, "
                          f"got {x.shape}, {kernels.shape}")
-    cin, h, w = x.shape
-    cout = kernels.shape[0]
-    if kernels.shape[1:] != (cin, 3, 3):
-        raise ShapeError(f"kernels {kernels.shape} are not (cout, {cin}, 3, 3)")
+    cout, cin = kernels.shape[:2]
+    if kernels.shape[2:] != (3, 3) or not cin or x.shape[0] % cin:
+        raise ShapeError(f"kernels {kernels.shape} are not (cout, cin, 3, 3) with cin "
+                         f"dividing the input's {x.shape[0]} channels")
     if bias.shape != (cout,):
         raise ShapeError(f"bias shape {bias.shape} != ({cout},)")
+    n, h, w = x.shape[0] // cin, x.shape[1], x.shape[2]
 
-    xp = np.zeros((cin, h + 2, w + 2))
-    xp[:, 1:h + 1, 1:w + 1] = x.data
+    xp = np.zeros((n, cin, h + 2, w + 2))
+    xp[:, :, 1:h + 1, 1:w + 1] = x.data.reshape(n, cin, h, w)
     kmat = kernels.data.reshape(cout, -1)
-    y = np.empty((cout, h * w))
+    y = np.empty((n, cout, h * w))
     rows = max(1, _COLS_BYTES // (8 * cin * 9 * w))
-    for r0 in range(0, h, rows):
-        r1 = min(r0 + rows, h)
-        # BLAS may round a band's gemm differently from the whole layer's in the last bits
-        np.matmul(kmat, _im2col(xp[:, r0:r1 + 2], r1 - r0, w), out=y[:, r0 * w:r1 * w])
+    for xi, yi in zip(xp, y):
+        for r0 in range(0, h, rows):
+            r1 = min(r0 + rows, h)
+            # BLAS may round a band's gemm differently from the whole layer's in the last bits
+            np.matmul(kmat, _im2col(xi, r0, r1), out=yi[:, r0 * w:r1 * w])
     y += bias.data[:, None]
-    out = Tensor(y.reshape(cout, h, w))
+    out = Tensor(y.reshape(n * cout, h, w))
 
     kshape = kernels.shape
     want_dx = g is not None and g.keeps(x)
 
     def backward(go):
-        cols = _im2col(xp, h, w)
-        gmat = go.reshape(cout, -1)
-        dk = (gmat @ cols.T).reshape(kshape)
-        db = gmat.sum(axis=1)
-        if not want_dx:
-            return (None, dk, db)
-        return (_col2im(kmat.T @ gmat, cin, h, w), dk, db)
+        gmats = go.reshape(n, cout, h * w)
+        dx = np.empty((n, cin, h, w)) if want_dx else None
+        dk = db = None
+        for i in range(n - 1, -1, -1):
+            gmat = gmats[i]
+            dki = (gmat @ _im2col(xp[i], 0, h).T).reshape(kshape)
+            dbi = gmat.sum(axis=1)
+            if dk is None:
+                dk, db = dki, dbi
+            else:
+                dk += dki
+                db += dbi
+            if want_dx:
+                dx[i] = _col2im(kmat.T @ gmat, cin, h, w)
+        return (None if dx is None else dx.reshape(n * cin, h, w), dk, db)
 
     return _rec(g, out, (x, kernels, bias), backward)
 

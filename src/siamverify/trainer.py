@@ -59,6 +59,7 @@ SETTINGS = {"lr": float, "epochs": int, "batch_size": int, "freeze_k": int, "see
 NO_AUGMENT = AugmentConfig(gaussian_sigma=0.0, flip_prob=0.0, max_rotation_deg=0.0,
                            max_translate_px=0)
 _LOSS_FIELDS = {f.name for f in fields(LossConfig)}
+_STEP_BYTES = 1 << 20  # the largest block of rows sgd_step updates at once
 
 
 def apply_settings(cfg: TrainConfig, settings: dict) -> TrainConfig:
@@ -134,26 +135,39 @@ def sgd_step(params: NetworkParams, grads: dict, lr: float) -> None:
     it is.  Every gradient is checked before any tensor moves, so a
     non-finite gradient leaves all parameters as they were.  The update
     writes into each ``t.data`` array, so a snapshot of the parameters must
-    be a copy.
+    be a copy.  The check and the update run over blocks of rows of at most
+    ``_STEP_BYTES`` (1 MiB), so no temporary is the size of a tensor; each
+    element gets the same multiply and subtract as a whole-array update.
     """
     for i, t in enumerate(params.tensors):
-        if t in grads and not np.all(np.isfinite(grads[t])):
+        if t in grads and not all(np.isfinite(grads[t][s]).all() for s in _row_blocks(t.data)):
             raise NumericError(f"non-finite gradient in parameter tensor {i}")
     for t in params.tensors:
         if t in grads:
-            t.data -= lr * grads[t]
+            for s in _row_blocks(t.data):
+                t.data[s] -= lr * grads[t][s]
+
+
+def _row_blocks(a: np.ndarray) -> list[slice]:
+    """Blocks of whole rows of ``a``, each at most ``_STEP_BYTES`` unless one row is larger."""
+    rows = max(1, _STEP_BYTES // max(1, a[:1].nbytes))
+    return [slice(r0, r0 + rows) for r0 in range(0, len(a), rows)]
 
 
 def pair_batch_loss(params: NetworkParams, batch: list, cfg: LossConfig,
                     g: Graph | None = None) -> LossBreakdown:
     """Loss over ``batch = [(x_a, x_b, y), ...]``, recorded on ``g`` when given.
 
-    Each pair's a image, then its b image, is embedded alone; the embeddings
-    are stacked into (B, fc2) rows, and the head, the cosine distance and the
-    losses run once over them, each row and gradient with its pair's own bits.
+    The 2B images are stacked in pair order (a0, b0, a1, b1, ...) and
+    embedded as one stack, so each layer is one tape node per step; the a
+    and b embeddings are its even and odd rows.  The head, the cosine
+    distance and the losses run once over those (B, fc2) rows.  Every row and
+    gradient has the bits of a tape that embeds each image alone and scores
+    each pair alone.
     """
-    emb = [forward_embedding(params, x, g) for xa, xb, _ in batch for x in (xa, xb)]
-    emb_a, emb_b = ops.stack(g, emb[0::2]), ops.stack(g, emb[1::2])
+    images = ops.stack(g, [x for xa, xb, _ in batch for x in (xa, xb)])
+    emb = forward_embedding(params, images, g)
+    emb_a, emb_b = ops.every_other_row(g, emb, 0), ops.every_other_row(g, emb, 1)
     p = forward_head(params, emb_a, emb_b, g)
     d = losses.cosine_distance(emb_a, emb_b, g)
     y = np.array([label for _, _, label in batch], dtype=np.float64)

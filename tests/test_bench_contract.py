@@ -1,6 +1,7 @@
 """The benchmark's view of the program: the names its tracer wraps exist,
 tracing does not change gradients or kink patterns, and the benchmark command
-runs two workloads to a correct result, one of them traced as well.
+runs two workloads to a correct result, each traced as well, so both guard
+the tracer's reading of a conv input as (channels, height, width).
 
 ``perfbench/tracer.py`` is loaded from its file path, not through
 ``sys.path``, because ``perfbench/corpus.py`` would shadow ``tests/corpus.py``.
@@ -72,6 +73,7 @@ def test_traced_step_matches_untraced(tracer):
     pytest.param("eval_overall", "0", id="eval_overall"),
     # traced rounds replace Graph.record and Graph.backward with the tracer's wrappers
     pytest.param("train_tiny", "1", id="train_tiny-trace"),
+    pytest.param("eval_overall", "1", id="eval_overall-trace"),
 ])
 def test_benchmark_command_runs(workload, trace):
     # eval_vgg_unshared is left out: 1.2 GB and seconds per pair

@@ -326,6 +326,13 @@ class TestAugment:
             AugmentConfig(max_translate_px=value)
         assert AugmentConfig(max_translate_px=np.int64(2)).max_translate_px == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("gaussian_sigma", "0.1"), ("flip_prob", None), ("max_rotation_deg", [10.0]),
+        ("flip_prob", True), ("gaussian_sigma", np.bool_(False)), ("max_translate_px", "2")])
+    def test_magnitude_that_is_no_real_number_names_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            AugmentConfig(**{field: value})
+
     @pytest.mark.parametrize("field", ["gaussian_sigma", "max_rotation_deg", "max_translate_px"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_magnitude_rejected(self, field, value):

@@ -5,8 +5,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from siamverify import Graph, Tensor, grad_check
+from siamverify import Graph, NetworkSpec, Tensor, build_network, forward_embedding, grad_check
 from siamverify import ops
 from siamverify.errors import ConfigError, NumericError, ShapeError, StateError
 from siamverify.gradcheck import GradCheckResult, _kink_signature
@@ -152,6 +154,65 @@ class TestConv2dBands:
         assert dk.tobytes() == want_dk.tobytes() and db.tobytes() == want_db.tobytes()
 
 
+def _conv_closure(xv, kv, bv, go):
+    """(output, dx, dk, db) of one recorded conv2d and its backward closure for ``go``."""
+    x, k, b = Tensor(xv), Tensor(kv), Tensor(bv)
+    g = Graph([x, k, b])
+    out = ops.conv2d(g, x, k, b)
+    (_, _, backward_fn, _), = g.nodes
+    return (out.data, *backward_fn(go))
+
+
+class TestConv2dStack:
+    """n images' channels back to back run as n one-image convs would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 5), cin=st.integers(1, 3), h=st.integers(1, 9), w=st.integers(1, 9),
+           rows=st.sampled_from([None, 1, 2]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_images_keep_their_bits(self, n, cin, h, w, rows, seed):
+        # rows: a forward band of that many output rows; None: the default budget, one band
+        rng = np.random.default_rng(seed)
+        cout = 2
+        xv, go = rng.standard_normal((n * cin, h, w)), rng.standard_normal((n * cout, h, w))
+        kv, bv = rng.standard_normal((cout, cin, 3, 3)), rng.standard_normal(cout)
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(ops, "_COLS_BYTES", rows * 8 * cin * 3 * 3 * w)
+            y, dx, dk, db = _conv_closure(xv, kv, bv, go)
+            alone = [_conv_closure(xv[i * cin:(i + 1) * cin], kv, bv, go[i * cout:(i + 1) * cout])
+                     for i in range(n)]
+        assert y.shape == go.shape and dx.shape == xv.shape
+        for i, (yi, dxi, _, _) in enumerate(alone):
+            assert y[i * cout:(i + 1) * cout].tobytes() == yi.tobytes()
+            assert dx[i * cin:(i + 1) * cin].tobytes() == dxi.tobytes()
+        # the tape adds n one-image calls' gradients from the last call to the first
+        want_dk, want_db = alone[-1][2], alone[-1][3]
+        for _, _, dki, dbi in alone[-2::-1]:
+            want_dk, want_db = want_dk + dki, want_db + dbi
+        assert dk.tobytes() == want_dk.tobytes() and db.tobytes() == want_db.tobytes()
+
+    @pytest.mark.parametrize("channels,cin", [(3, 2), (5, 2), (0, 2), (2, 0)])
+    def test_channels_not_a_multiple_of_cin_raise(self, channels, cin):
+        with pytest.raises(ShapeError):
+            ops.conv2d(None, Tensor(np.zeros((channels, 4, 4))),
+                       Tensor(np.zeros((1, cin, 3, 3))), Tensor(np.zeros(1)))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_embedding_rows_are_the_images_embedded_alone(self, n):
+        spec = NetworkSpec.tiny()
+        params = build_network(spec, seed=1)
+        xs = np.random.default_rng(n).random((n, *spec.input_shape))
+        rows = forward_embedding(params, Tensor(xs)).data
+        assert rows.shape == (n, spec.fc[1])
+        assert rows.tobytes() == np.stack(
+            [forward_embedding(params, Tensor(x)).data for x in xs]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 1, 32, 32), (2, 2, 32, 32), (1, 1, 1, 32, 32)])
+    def test_embedding_of_an_empty_or_misshapen_stack_raises(self, shape):
+        with pytest.raises(ShapeError):
+            forward_embedding(build_network(NetworkSpec.tiny(), seed=1), Tensor(np.zeros(shape)))
+
+
 class TestPrimitives:
     def test_relu_definition(self):
         out = ops.relu(None, Tensor([-2.0, 3.0]))
@@ -266,6 +327,20 @@ class TestPrimitives:
     def test_stack_needs_tensors_of_one_shape(self, shapes):
         with pytest.raises(ShapeError):
             ops.stack(None, [Tensor(np.zeros(s)) for s in shapes])
+
+    def test_every_other_row_gradients_add_back_bit_for_bit(self):
+        # the two streams' gradients, signed zeros included, come back interleaved
+        rng = np.random.default_rng(6)
+        ca, cb = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        ca[0, :2], cb[1, 1:3] = -0.0, [0.0, -0.0]
+        a = Tensor(rng.standard_normal((6, 4)))
+        g = Graph([a])
+        ea, eb = ops.every_other_row(g, a, 0), ops.every_other_row(g, a, 1)
+        assert ea.data.tobytes() == a.data[0::2].tobytes()
+        assert eb.data.tobytes() == a.data[1::2].tobytes()
+        loss = ops.add(g, ops.tsum(g, ops.mul(g, ea, Tensor(ca))),
+                       ops.tsum(g, ops.mul(g, eb, Tensor(cb))))
+        assert g.backward(loss)[a].tobytes() == np.stack([ca, cb], axis=1).reshape(6, 4).tobytes()
 
     def test_rowsum_rows_bitwise_equal_vector_sums(self):
         x = np.random.default_rng(5).random((6, 131))
@@ -426,6 +501,8 @@ def _primitive_cases(seed):
     bb = Tensor(rng.standard_normal(4))
     pos = Tensor(rng.uniform(0.2, 0.8, 10))
     xm = Tensor(rng.standard_normal((3, 20)))
+    xr = Tensor(rng.standard_normal((4, 5)))
+    kr = Tensor(rng.standard_normal((3, 1, 3, 3)))  # reads xc as two one-channel images
     cases = {
         "relu": (lambda g: ops.tsum(g, ops.relu(g, xv)), [xv]),
         "sigmoid": (lambda g: ops.tsum(g, ops.sigmoid(g, xv)), [xv]),
@@ -440,8 +517,12 @@ def _primitive_cases(seed):
         "rowsum": (lambda g: ops.add(g, ops.tsum(g, ops.mul(g, ops.rowsum(g, xm),
                                                             ops.rowsum(g, xm))),
                                      ops.mul(g, ops.rowsum(g, xv), ops.rowsum(g, xv))), [xm, xv]),
+        "every_other_row": (lambda g: ops.tsum(g, ops.mul(g, ops.every_other_row(g, xr, 0),
+                                                          ops.every_other_row(g, xr, 1))), [xr]),
         "conv2d": (lambda g: ops.tsum(g, ops.mul(g, ops.conv2d(g, xc, k, b),
                                                  ops.conv2d(g, xc, k, b))), [xc, k, b]),
+        "conv2d_stack": (lambda g: ops.tsum(g, ops.mul(g, ops.conv2d(g, xc, kr, b),
+                                                       ops.conv2d(g, xc, kr, b))), [xc, kr, b]),
         "maxpool2": (lambda g: ops.tsum(g, ops.mul(g, ops.maxpool2(g, xc),
                                                    ops.maxpool2(g, xc))), [xc]),
         "stack": (lambda g: ops.tsum(g, ops.stack(g, [ops.tsum(g, xv), ops.tsum(g, pos)])),

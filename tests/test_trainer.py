@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from siamverify import (AugmentConfig, Graph, LossConfig, NetworkSpec, TrainConfig,
-                        Tensor, build_network, freeze_prefix, grad_check, load_params,
+from siamverify import (AugmentConfig, Graph, LossConfig, NetworkParams, NetworkSpec,
+                        TrainConfig, Tensor, build_network, freeze_prefix, grad_check, load_params,
                         make_batches, sgd_step, train)
 from siamverify.trainer import NO_AUGMENT, apply_settings, pair_batch_loss, settings_of
 from siamverify.dataset import ImageRecord, PairRecord
@@ -101,6 +101,29 @@ class TestSgdStep:
         assert all(t.data.tobytes() == b.tobytes() for t, b in zip(params.tensors, before))
 
 
+    @pytest.mark.parametrize("shape", [(300_001,), (70, 2500), (40, 40, 11, 11)])
+    def test_blocked_update_equals_whole_array_update(self, shape):
+        # 3, 2 and 2 blocks of rows, the last one short: 2.4, 1.4 and 1.5 MB of float64
+        rng = np.random.default_rng(len(shape))
+        t, grad = Tensor(rng.standard_normal(shape)), rng.standard_normal(shape)
+        want = t.data - 0.37 * grad
+        sgd_step(NetworkParams(spec=TINY, tensors=[t]), {t: grad}, lr=0.37)
+        assert t.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1 << 23,), (1 << 10, 1 << 13), (64, 128, 32, 32)])
+    def test_update_keeps_no_full_size_temporary(self, shape):
+        t, grad = Tensor(np.ones(shape)), np.full(shape, 0.5)  # 64 MiB each
+        params = NetworkParams(spec=TINY, tensors=[t])
+        tracemalloc.start()
+        try:
+            sgd_step(params, {t: grad}, lr=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+        assert np.all(t.data == 0.5)
+
+
 class TestPairBatchLoss:
     @pytest.mark.parametrize("zero_pair", [False, True])
     @pytest.mark.parametrize("seed", [4, 5, 6])
@@ -180,12 +203,19 @@ class TestTape:
         frozen = freeze_prefix(build_network(TINY, seed=3), 1)
         n_frozen, loss_frozen, grads = _recorded_step(frozen, batch)
         assert loss_frozen == loss_full
-        assert n_full - n_frozen == 2 * 2 * len(batch)  # conv1 and its relu, per stream
+        assert n_full - n_frozen == 2  # conv1 and its relu, once per step
         for t, t_full, f in zip(frozen.tensors, full.tensors, frozen.freeze):
             if f:
                 assert t not in grads
             else:
                 assert grads[t].tobytes() == grads_full[t_full].tobytes()
+
+    def test_one_node_per_layer_whatever_the_batch_size(self):
+        # the 2B images are embedded as one stack, so the tape's length does not grow with B
+        params = freeze_prefix(build_network(TINY, seed=3), 1)
+        batch = _batch8(3)
+        lengths = {_recorded_step(params, batch[:n])[0] for n in (1, 3, 8)}
+        assert len(lengths) == 1
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_skipped_input_gradients_move_no_bit(self, k):
