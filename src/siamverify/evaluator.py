@@ -27,6 +27,9 @@ from .trainer import TrainConfig, apply_settings, train
 DEFAULT_FAR_TARGETS = (0.001, 0.01, 0.1)
 SCORE_MODES = ("head", "cosine")
 _BLOCK_PAIRS = 128  # pairs per head or cosine pass of score_pairs; bounds its row arrays
+# Largest conv output of one score_pairs embedding stack: 2 tiny images.  At 4, glibc
+# trimmed the heap after each stack and faulted about 1 MB back in for the next.
+_STACK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -51,24 +54,30 @@ class ScoreSet:
         """Distinct thresholds ascending, with genuine and impostor ``>= t`` counts.
 
         The one sort is inside ``np.unique``, computed on first use and kept;
-        ``searchsorted`` then places each score at its threshold, and suffix
-        sums count the scores at or above it.
+        its inverse places each score at its threshold, and suffix sums count
+        the scores at or above it.
         """
         self.require_both()
-        t = np.unique(np.concatenate([self.genuine, self.impostor]))
+        t, at = np.unique(np.concatenate([self.genuine, self.impostor]), return_inverse=True)
 
-        def accepted(scores):
-            at = np.bincount(np.searchsorted(t, scores), minlength=t.size)
-            return np.cumsum(at[::-1])[::-1]
+        def accepted(where):
+            return np.cumsum(np.bincount(where, minlength=t.size)[::-1])[::-1]
 
-        return t, accepted(self.genuine), accepted(self.impostor)
+        return t, accepted(at[:self.genuine.size]), accepted(at[self.genuine.size:])
 
 
 @dataclass
 class RocCurve:
-    """(threshold, FAR, GAR) points, threshold descending from +inf."""
+    """The sweep's thresholds descending from +inf, with the FAR and GAR at each."""
 
-    points: list[tuple[float, float, float]]
+    thresholds: np.ndarray
+    far: np.ndarray
+    gar: np.ndarray
+
+    @property
+    def points(self) -> list[tuple[float, float, float]]:
+        """(threshold, FAR, GAR) float tuples, one per threshold."""
+        return list(zip(self.thresholds.tolist(), self.far.tolist(), self.gar.tolist()))
 
     def write_csv(self, path) -> None:
         with atomic_open(path, "w", encoding="utf-8") as f:
@@ -81,27 +90,35 @@ def score_pairs(params: NetworkParams, pairs: list[PairRecord],
                 mode: str = "head") -> ScoreSet:
     """Score each pair with the head sigmoid or raw embedding cosine.
 
-    Each distinct image is loaded and embedded once into a row of an
-    (images, fc2) matrix.  The head or cosine then runs once per block of
-    ``_BLOCK_PAIRS`` pairs on their a-side and b-side rows; each score has
+    The distinct images, in order of first appearance, are loaded and
+    embedded once each, in stacks whose largest conv output fits
+    ``_STACK_BYTES`` (one image where a single one does not), into the rows
+    of an (images, fc2) matrix.  The head or cosine then runs once per block
+    of ``_BLOCK_PAIRS`` pairs on their a-side and b-side rows; each score has
     the bits of its pair scored alone.
     """
     if mode not in SCORE_MODES:
         raise ConfigError(f"unknown scoring mode {mode!r}")
     if not pairs:
         raise ConfigError("no pairs to score")
-    target = params.spec.input_shape
-    row_of, embeddings = {}, []
+    row_of, distinct = {}, []
 
     def row(rec):
         key = (rec.identity, rec.path)
         if key not in row_of:
-            row_of[key] = len(embeddings)
-            embeddings.append(forward_embedding(params, load_image(rec, target)).data)
+            row_of[key] = len(distinct)
+            distinct.append(rec)
         return row_of[key]
 
     rows = np.array([(row(pair.a), row(pair.b)) for pair in pairs])
-    emb = np.stack(embeddings)
+    spec, target = params.spec, params.spec.input_shape
+    _, h, w = target
+    largest = max(out_c * (h >> i) * (w >> i) for i, (out_c, _) in enumerate(spec.stages))
+    per_stack = max(1, _STACK_BYTES // (8 * largest))  # float64 conv outputs
+    emb = np.empty((len(distinct), spec.fc[1]))
+    for s in range(0, len(distinct), per_stack):
+        stack = np.stack([load_image(rec, target).data for rec in distinct[s:s + per_stack]])
+        emb[s:s + per_stack] = forward_embedding(params, Tensor(stack)).data
     scores = np.empty(len(pairs))
     for s in range(0, len(pairs), _BLOCK_PAIRS):
         block = rows[s:s + _BLOCK_PAIRS]
@@ -115,9 +132,8 @@ def score_pairs(params: NetworkParams, pairs: list[PairRecord],
 def roc_curve(s: ScoreSet) -> RocCurve:
     """Empirical ROC over every distinct observed threshold, descending."""
     t, acc_g, acc_i = s.sweep
-    far, gar = acc_i / s.impostor.size, acc_g / s.genuine.size
-    return RocCurve([(np.inf, 0.0, 0.0)] + [(float(a), float(b), float(c))
-                                            for a, b, c in zip(t[::-1], far[::-1], gar[::-1])])
+    return RocCurve(np.append(np.inf, t[::-1]), np.append(0.0, acc_i[::-1] / s.impostor.size),
+                    np.append(0.0, acc_g[::-1] / s.genuine.size))
 
 
 def gar_at_far(s: ScoreSet, far_target: float) -> tuple[float, float]:

@@ -7,6 +7,7 @@ by row-major float64 data, assumed already scaled).
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 from .errors import FormatError
 
 F64_SUFFIX = ".f64"
+_RESIZE_TAPS = 256  # (source, output) axis lengths whose resize taps are kept
 
 
 def _read_pnm_token(buf: bytes, pos: int) -> tuple[bytes, int]:
@@ -113,11 +115,15 @@ def bilinear_sample(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.n
     the four taps (0,0), (0,1), (1,0), (1,1) added in that order into zeros,
     each as pixel times row weight times column weight.
     """
+    _, h, w = img.shape
+    return _sample(img, _taps(rows, h), _taps(cols, w))
+
+
+def _sample(img: np.ndarray, row_taps, col_taps) -> np.ndarray:
     c, h, w = img.shape
     flat = img.reshape(c, h * w)
-    col_taps = _taps(cols, w)
-    out = np.zeros((c,) + np.broadcast(rows, cols).shape)
-    for ri, wr in _taps(rows, h):
+    out = np.zeros((c,) + np.broadcast(row_taps[0][0], col_taps[0][0]).shape)
+    for ri, wr in row_taps:
         ri = ri * w
         for ci, wc in col_taps:
             tap = flat.take(ri + ci, axis=1)
@@ -126,17 +132,31 @@ def bilinear_sample(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.n
     return out
 
 
+@functools.lru_cache(maxsize=_RESIZE_TAPS)
+def _resize_taps(n: int, out_n: int) -> tuple:
+    """Read-only taps of resizing one axis of ``n`` samples to ``out_n``."""
+    pos = (np.arange(out_n) + 0.5) * (n / out_n) - 0.5
+    # clamp to edges: resize should not introduce dark borders
+    taps = _taps(np.minimum(np.maximum(pos, 0), n - 1), n)
+    for tap in taps:
+        for arr in tap:
+            arr.flags.writeable = False
+    return tuple(taps)
+
+
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Half-pixel-centered bilinear resize of a CHW image."""
+    """Half-pixel-centered bilinear resize of a CHW image.
+
+    Each axis's taps come from a memo keyed by (source length, output
+    length) that keeps the last ``_RESIZE_TAPS`` of them, so same-size
+    images compute them once.  Each sample is the same sum as in
+    ``bilinear_sample``.
+    """
     _, h, w = img.shape
     if (h, w) == (out_h, out_w):
         return img.copy()
-    rows = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    cols = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    # clamp to edges: resize should not introduce dark borders
-    rows = np.minimum(np.maximum(rows, 0), h - 1)
-    cols = np.minimum(np.maximum(cols, 0), w - 1)
-    return bilinear_sample(img, rows[:, None], cols)
+    row_taps = [(ri[:, None], wr[:, None]) for ri, wr in _resize_taps(h, out_h)]
+    return _sample(img, row_taps, _resize_taps(w, out_w))
 
 
 def rotate(img: np.ndarray, degrees: float) -> np.ndarray:

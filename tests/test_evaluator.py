@@ -1,13 +1,14 @@
 """Exact ROC/GAR sweeps checked against a brute-force threshold scan."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imagefiles import write_pgm
+from imagefiles import write_pgm, write_ppm
 from siamverify import (NetworkSpec, ScoreSet, TrainConfig, TrainLog, accuracy_at,
                         best_accuracy, build_network, gar_at_far, metrics_report,
                         roc_curve, run_ablation, score_pairs)
@@ -217,7 +218,9 @@ class TestScorePairs:
         monkeypatch.setattr(evaluator, "forward_embedding", counting)
         params = build_network(NetworkSpec.tiny(), seed=0)
         score_pairs(params, self.shared_pairs(tmp_path), mode=mode)
-        assert len(calls) == 4  # 6 pairs over 4 images
+        embedded = np.concatenate([x.data for x in calls])
+        assert embedded.shape[0] == 4  # 6 pairs over 4 images
+        assert np.unique(embedded.reshape(4, -1), axis=0).shape[0] == 4
 
     def test_scores_equal_per_pair_forward(self, tmp_path):
         from siamverify import cosine_similarity, load_image, siamese_forward
@@ -235,6 +238,60 @@ class TestScorePairs:
             s = score_pairs(params, pairs, mode=mode)
             assert s.genuine.tobytes() == np.array(gen).tobytes()
             assert s.impostor.tobytes() == np.array(imp).tobytes()
+
+    def mixed_pairs(self, tmp_path):
+        """Pairs over 11 distinct images: two source sizes, a bbox crop and an RGB image."""
+        rng = np.random.default_rng(5)
+        recs = []
+        for i in range(11):
+            shape = (1, 32, 32) if i % 2 else (1, 40, 36)
+            p = tmp_path / f"mx{i}.pgm"
+            write_pgm(p, rng.random(shape))
+            recs.append(ImageRecord(f"id{i % 3}", str(p), "genuine"))
+        recs[3] = replace(recs[3], bbox=(2, 1, 20, 24))  # a crop of its 32x32 image
+        write_ppm(tmp_path / "mx5.ppm", rng.random((3, 30, 34)))
+        recs[5] = replace(recs[5], path=str(tmp_path / "mx5.ppm"))  # 3 channels to 1
+        return [PairRecord(recs[i], recs[j], (i + j) % 2, "overall")
+                for i in range(11) for j in (i + 1, i + 4) if j < 11]
+
+    @pytest.mark.parametrize("mode", ["head", "cosine"])
+    def test_stacks_score_like_per_pair_forward(self, tmp_path, monkeypatch, mode):
+        from siamverify import cosine_similarity, load_image, siamese_forward
+        params = build_network(NetworkSpec.tiny(), seed=6)
+        one_image = 8 * 8 * 32 * 32  # conv1's float64 output for one tiny image
+        monkeypatch.setattr(evaluator, "_STACK_BYTES", 4 * one_image + one_image // 2)
+        stacks = []
+        embed = evaluator.forward_embedding
+
+        def recording(params, x, g=None):
+            stacks.append(x.shape[0])
+            return embed(params, x, g)
+
+        monkeypatch.setattr(evaluator, "forward_embedding", recording)
+        pairs, shape, gen, imp = self.mixed_pairs(tmp_path), params.spec.input_shape, [], []
+        for pair in pairs:
+            emb_a, emb_b, p = siamese_forward(params, load_image(pair.a, shape),
+                                              load_image(pair.b, shape))
+            score = p if mode == "head" else cosine_similarity(emb_a, emb_b)
+            (gen if pair.y == 1 else imp).append(score.item())
+        s = score_pairs(params, pairs, mode=mode)
+        assert stacks == [4, 4, 3]
+        assert s.genuine.tobytes() == np.array(gen).tobytes()
+        assert s.impostor.tobytes() == np.array(imp).tobytes()
+
+    def test_image_over_the_budget_is_embedded_alone(self, tmp_path, monkeypatch):
+        spec = NetworkSpec(input_shape=(1, 64, 64), stages=((9, 1),), fc=(8, 4), head=(4, 1))
+        assert 8 * 9 * 64 * 64 > evaluator._STACK_BYTES  # conv1's output for one image
+        stacks = []
+        embed = evaluator.forward_embedding
+
+        def recording(params, x, g=None):
+            stacks.append(x.shape)
+            return embed(params, x, g)
+
+        monkeypatch.setattr(evaluator, "forward_embedding", recording)
+        score_pairs(build_network(spec, seed=0), self.shared_pairs(tmp_path), mode="head")
+        assert stacks == [(1, 1, 64, 64)] * 4
 
     def block_pairs(self, tmp_path, n_pairs, n_images=5):
         """``n_pairs`` pairs over ``n_images`` images, some of an image with itself."""

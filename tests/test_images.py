@@ -3,9 +3,11 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siamverify import images as imagemod  # `images` names the strategy below
 from siamverify.images import bilinear_resize, bilinear_sample, rotate
 
 EXAMPLES = settings(max_examples=300, deadline=None)
@@ -127,3 +129,20 @@ def test_resize_peak_is_at_most_half_the_reference():
     ours = _traced_peak(bilinear_resize, img, 224, 224)
     reference = _traced_peak(_reference_resize, img, 224, 224)
     assert ours <= reference / 2, (ours, reference)
+
+
+def test_resize_taps_are_read_only():
+    bilinear_resize(np.random.default_rng(6).random((1, 12, 10)), 7, 9)
+    for tap in imagemod._resize_taps(12, 7) + imagemod._resize_taps(10, 9):
+        for arr in tap:
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
+def test_resize_taps_memo_keeps_at_most_its_bound():
+    bound = imagemod._RESIZE_TAPS
+    assert imagemod._resize_taps.cache_info().maxsize == bound
+    for n in range(2, bound + 40):
+        img = np.full((1, 2, n), 0.5)
+        assert bilinear_resize(img, 3, 5).tobytes() == _reference_resize(img, 3, 5).tobytes()
+        assert imagemod._resize_taps.cache_info().currsize <= bound

@@ -39,8 +39,9 @@ def run_eval(out, good):
 
 
 def write_roc(out, good):
-    points = [(np.inf, 0.0, 0.0), (0.5, 0.5, 1.0), (0.1, 1.0, 1.0) if good else ("x", 1, 1)]
-    RocCurve(points).write_csv(out / "roc.csv")
+    thresholds = np.array([np.inf, 0.5, 0.1 if good else "x"], dtype=object)  # fails at row 3
+    RocCurve(thresholds, np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.0])).write_csv(
+        out / "roc.csv")
 
 
 def write_config(out, good):
