@@ -58,21 +58,17 @@ class AugmentConfig:
     max_translate_px: int = 2
 
     def __post_init__(self):
-        for name in ("gaussian_sigma", "flip_prob", "max_rotation_deg", "max_translate_px"):
+        reals = (int, float, np.integer, np.floating)
+        for name, kinds, kind, span in (("gaussian_sigma", reals, "a real number", ">= 0"),
+                                        ("flip_prob", reals, "a real number", "in [0, 1]"),
+                                        ("max_rotation_deg", reals, "a real number", ">= 0"),
+                                        ("max_translate_px", (int, np.integer), "an int", ">= 0")):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
-                                                                 np.floating)):
-                kind = "an int" if name == "max_translate_px" else "a real number"
-                raise ConfigError(f"{name} must be {kind}, got {value!r}")
-        magnitudes = (self.gaussian_sigma, self.max_rotation_deg, self.max_translate_px)
-        if not all(np.isfinite(m) and m >= 0 for m in magnitudes):
-            raise ConfigError(f"augmentation magnitudes must be finite and nonnegative, "
-                              f"got {magnitudes}")
-        shift = self.max_translate_px
-        if isinstance(shift, bool) or not isinstance(shift, (int, np.integer)):
-            raise ConfigError(f"max_translate_px must be an int, got {shift!r}")
-        if not (0.0 <= self.flip_prob <= 1.0):
-            raise ConfigError(f"flip_prob {self.flip_prob} outside [0, 1]")
+            high = 1.0 if name == "flip_prob" else np.inf
+            # bool is no number; nan fails isfinite
+            if (isinstance(value, bool) or not isinstance(value, kinds)
+                    or not (np.isfinite(value) and 0 <= value <= high)):
+                raise ConfigError(f"{name} must be {kind}, finite and {span}, got {value!r}")
 
 
 def parse_manifest(path) -> list[ImageRecord]:

@@ -8,6 +8,7 @@ by row-major float64 data, assumed already scaled).
 from __future__ import annotations
 
 import functools
+import re
 import struct
 
 import numpy as np
@@ -16,24 +17,12 @@ from .errors import FormatError
 
 F64_SUFFIX = ".f64"
 _RESIZE_TAPS = 256  # (source, output) axis lengths whose resize taps are kept
-
-
-def _read_pnm_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    while pos < len(buf):
-        c = buf[pos:pos + 1]
-        if c == b"#":
-            while pos < len(buf) and buf[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(buf) and not buf[pos:pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise FormatError("truncated PNM header")
-    return buf[start:pos], pos
+# The magic P5 or P6; width, height and maxval, each after whitespace or after
+# comments that run from '#' through the end of their line; then the one
+# whitespace byte before the pixels.  A field holds no whitespace and no '#', so
+# no field starts inside a comment, the header splits into parts one way only
+# and a match, or a failed one, takes time linear in the header.
+_PNM_HEADER = re.compile(rb"P([56])" + rb"(?:\s|#[^\r\n]*[\r\n])+([^\s#]+)" * 3 + rb"\s")
 
 
 def read_image(path) -> np.ndarray:
@@ -49,19 +38,19 @@ def read_image(path) -> np.ndarray:
 
 
 def _decode_pnm(raw: bytes) -> np.ndarray:
-    magic, pos = _read_pnm_token(raw, 0)
-    channels = 1 if magic == b"P5" else 3
-    w_tok, pos = _read_pnm_token(raw, pos)
-    h_tok, pos = _read_pnm_token(raw, pos)
-    max_tok, pos = _read_pnm_token(raw, pos)
+    header = _PNM_HEADER.match(raw)
+    if header is None:
+        raise FormatError("malformed or truncated PNM header")
+    magic, *fields = header.groups()
+    channels = 1 if magic == b"5" else 3
     try:
-        w, h, maxval = int(w_tok), int(h_tok), int(max_tok)
+        w, h, maxval = map(int, fields)
     except ValueError as exc:
         raise FormatError("non-numeric PNM header field") from exc
     if maxval != 255:
         raise FormatError(f"only maxval 255 supported, got {maxval}")
     _check_dims(channels, h, w)
-    pos += 1  # single whitespace after maxval
+    pos = header.end()
     n = w * h * channels
     data = raw[pos:pos + n]
     if len(data) != n:

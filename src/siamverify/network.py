@@ -181,8 +181,9 @@ def forward_embedding(params: NetworkParams, x: Tensor, g: Graph | None = None) 
     ``x`` is one (C, H, W) image, embedded to an (fc2,) vector, or an
     (n, C, H, W) stack, embedded to (n, fc2) rows as one tensor per layer:
     the convs read the n images' channels back to back and fc1 and fc2 run
-    over rows, so each row and every gradient has the bits of its image
-    embedded alone.
+    over rows, so each row and each input gradient has the bits of its image
+    embedded alone.  A parameter gradient is the stack's own sum over its
+    images (see ``ops``).
     """
     shape = params.spec.input_shape
     if x.shape[-3:] != shape or x.data.ndim not in (3, 4):

@@ -20,13 +20,18 @@ so no whole-layer column matrix is built; a layer whose columns fit is one
 band.  A band's gemm may round differently from a whole-layer gemm in the
 last bits, wherever the band starts; a one-band layer is unaffected.  On the
 tape a conv keeps its padded input, not its columns.  Its backward goes
-image by image from the last to the first, rebuilding that image's whole
-column matrix and adding its kernel and bias gradients onto a running sum
-that starts from the last image's, as the tape adds the gradients of n
-one-image calls, so each image and each gradient keeps the bits of one-image
-calls.  Backward returns ``None`` for an input the tape does not keep
-(``Graph.keeps``), such as an image or a frozen prefix's output, and skips
-that input's gradient gemm and col2im.
+image by image, rebuilding that image's whole column matrix.  Backward
+returns ``None`` for an input the tape does not keep (``Graph.keeps``), such
+as an image or a frozen prefix's output, and skips that input's gradient
+gemm and col2im.
+
+What keeps its bits across a stack: each forward row or image, and each
+input gradient, has the bits of that row or image passed alone.  A
+parameter gradient is the stack's own sum of its rows' or images' terms
+(``linear``: one gemm and one sum over the rows; ``conv2d``: each image's
+kernel and bias gradient, added in stack order), so it can differ in the
+last bits from the sum that a tape of one-row or one-image calls makes.  It
+is deterministic for a fixed batch, BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -163,9 +168,8 @@ def linear(g, x, w, b) -> Tensor:
     """Affine map w @ x + b of a flat input vector, or of each row of an (n, k) matrix.
 
     Both run as one gemv per row, so a row's output and input gradient have
-    the bits of the row passed alone.  ``dW`` and ``db`` add the rows' terms
-    from last to first, one ``np.outer`` at a time, as the tape adds n vector
-    calls, so rows train to the same bits; a gemm or ``sum`` would reorder.
+    the bits of the row passed alone.  ``dW`` is one gemm over the rows and
+    ``db`` one sum over them.
     """
     if x.data.ndim not in (1, 2) or w.data.ndim != 2:
         raise ShapeError(f"linear expects 1-D or 2-D input, 2-D weight: {x.shape}, {w.shape}")
@@ -176,11 +180,7 @@ def linear(g, x, w, b) -> Tensor:
 
     def backward(go):
         gs, xs = go.reshape(-1, go.shape[-1]), xd.reshape(-1, xd.shape[-1])
-        dw, db = np.outer(gs[-1], xs[-1]), gs[-1].copy()
-        for gi, xi in zip(gs[-2::-1], xs[-2::-1]):
-            dw += np.outer(gi, xi)
-            db += gi
-        return (np.matmul(wd.T, go[..., None])[..., 0], dw, db)
+        return (np.matmul(wd.T, go[..., None])[..., 0], gs.T @ xs, gs.sum(axis=0))
 
     return _rec(g, out, (x, w, b), backward)
 
@@ -262,19 +262,13 @@ def conv2d(g, x, kernels, bias) -> Tensor:
     def backward(go):
         gmats = go.reshape(n, cout, h * w)
         dx = np.empty((n, cin, h, w)) if want_dx else None
-        dk = db = None
-        for i in range(n - 1, -1, -1):
-            gmat = gmats[i]
-            dki = (gmat @ _im2col(xp[i], 0, h).T).reshape(kshape)
-            dbi = gmat.sum(axis=1)
-            if dk is None:
-                dk, db = dki, dbi
-            else:
-                dk += dki
-                db += dbi
+        dk = np.zeros((cout, cin * 9))
+        for i, gmat in enumerate(gmats):
+            dk += gmat @ _im2col(xp[i], 0, h).T
             if want_dx:
                 dx[i] = _col2im(kmat.T @ gmat, cin, h, w)
-        return (None if dx is None else dx.reshape(n * cin, h, w), dk, db)
+        db = gmats.sum(axis=2).sum(axis=0)
+        return (None if dx is None else dx.reshape(n * cin, h, w), dk.reshape(kshape), db)
 
     return _rec(g, out, (x, kernels, bias), backward)
 

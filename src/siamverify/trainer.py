@@ -38,17 +38,16 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size", "seed", "checkpoint_every", "freeze_k"):
             value = getattr(self, name)
-            counts = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if not counts and not (name == "freeze_k" and value is None):  # bool is no count
+            if name == "freeze_k" and value is None:
+                continue
+            # bool is an int subclass, but no count
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an int, got {value!r}")
+            low = 1 if name == "batch_size" else 0
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be a finite positive number, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        for name in ("epochs", "seed", "checkpoint_every", "freeze_k"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
 # Every run setting under the one name that --config files, ablation grid entries
@@ -161,9 +160,11 @@ def pair_batch_loss(params: NetworkParams, batch: list, cfg: LossConfig,
     The 2B images are stacked in pair order (a0, b0, a1, b1, ...) and
     embedded as one stack, so each layer is one tape node per step; the a
     and b embeddings are its even and odd rows.  The head, the cosine
-    distance and the losses run once over those (B, fc2) rows.  Every row and
-    gradient has the bits of a tape that embeds each image alone and scores
-    each pair alone.
+    distance and the losses run once over those (B, fc2) rows.  The losses,
+    every row and every input gradient have the bits of a tape that embeds
+    each image alone and scores each pair alone; each parameter gradient is
+    one sum over the stack's images or pairs, which can differ from that
+    tape's sum in the last bits.
     """
     images = ops.stack(g, [x for xa, xb, _ in batch for x in (xa, xb)])
     emb = forward_embedding(params, images, g)

@@ -156,6 +156,20 @@ class TestLoadImage:
         with pytest.raises(FormatError, match="positive"):
             load_image(rec(path=str(path)), (1, 4, 4))
 
+    def test_pnm_comment_after_magic_is_no_field(self, tmp_path):
+        # P5 then a comment: a gray image, read from the first 4 of 12 payload bytes
+        path = tmp_path / "a.pgm"
+        path.write_bytes(b"P5#note\n2 2\n255\n" + bytes(range(12)))
+        out = load_image(rec(path=str(path)), (1, 2, 2))
+        assert out.data.tobytes() == (np.arange(4.0).reshape(1, 2, 2) / 255.0).tobytes()
+
+    @pytest.mark.parametrize("magic", [b"P5x", b"P55", b"P6P6"])
+    def test_pnm_magic_is_p5_or_p6_alone(self, tmp_path, magic):
+        path = tmp_path / "a.ppm"
+        path.write_bytes(magic + b" 2 2 255\n" + bytes(12))
+        with pytest.raises(FormatError, match="PNM header"):
+            load_image(rec(path=str(path)), (3, 2, 2))
+
     @pytest.mark.parametrize("chw", [(0, 4, 4), (1, 0, 4), (1, 4, 0), (0, 0, 0)])
     def test_f64_zero_dimensions(self, tmp_path, chw):
         path = tmp_path / "a.f64"

@@ -1,7 +1,8 @@
 """Every import in the package modules is used (``__init__`` re-exports exempt)
 and sits at module level, not inside a function body; one function in the
-package opens files for writing; and every public function, class and method
-has a caller in the package or in perfbench, not only in tests."""
+package opens files for writing; every public function, class and method
+has a caller in the package or in perfbench, not only in tests; and so does
+every private top-level function and module-level constant."""
 
 import ast
 import pathlib
@@ -146,14 +147,31 @@ def public_definitions(source: str) -> list[tuple[int, str, str]]:
     return found
 
 
+def private_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each private top-level function and of each private name
+    a top-level assignment binds; dunder names are not private."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
 def referenced_names(source: str, strings: bool = False) -> set[str]:
-    """Each name read (a ``Name``, or an attribute's name) outside a definition of
-    that name; with ``strings``, each string constant too."""
+    """Each name read (a ``Name`` not assigned to, or an attribute's name) outside
+    a definition of that name; with ``strings``, each string constant too."""
     found = set()
 
     def visit(node, inside):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Name):
+            if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
                 name = child.id
             elif isinstance(child, ast.Attribute):
                 name = child.attr
@@ -186,12 +204,42 @@ def test_detector_finds_definitions_and_references():
     assert referenced_names(source, strings=True) == {"C", "used", "helper", "self", "named"}
 
 
-def test_every_public_definition_has_a_caller_in_src_or_perfbench():
+def test_detector_finds_private_definitions():
+    source = ("_LIMIT = 4\n"
+              "_a = _b = 1\n"
+              "__all__ = ['f']\n"
+              "_n: int = 3\n"
+              "PUBLIC = _n\n"
+              "def _helper():\n"
+              "    return _helper() + _LIMIT\n"
+              "class _C:\n"
+              "    _inner = 1\n"
+              "    def _m(self):\n"
+              "        _local = 2\n")
+    assert private_definitions(source) == [(1, "_LIMIT"), (2, "_a"), (2, "_b"), (4, "_n"),
+                                           (6, "_helper")]
+    assert referenced_names(source) & {"_LIMIT", "_a", "_b", "_n", "_helper"} == {"_LIMIT", "_n"}
+
+
+def _names_used_in_src_and_perfbench() -> set[str]:
     # perfbench's tracer looks functions up by name, so its strings count
-    used = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in MODULES),
+    return set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in MODULES),
                        *(referenced_names(p.read_text(encoding="utf-8"), strings=True)
                          for p in PERFBENCH))
+
+
+def test_every_public_definition_has_a_caller_in_src_or_perfbench():
+    used = _names_used_in_src_and_perfbench()
     unused = [(path.name, line, qualified) for path in MODULES
               for line, qualified, name in public_definitions(path.read_text(encoding="utf-8"))
+              if name not in used]
+    assert PERFBENCH and unused == []
+
+
+def test_every_private_top_level_name_is_read_in_src_or_perfbench():
+    # a deletion that leaves its helper or constant behind fails here
+    used = _names_used_in_src_and_perfbench()
+    unused = [(path.name, line, name) for path in MODULES
+              for line, name in private_definitions(path.read_text(encoding="utf-8"))
               if name not in used]
     assert PERFBENCH and unused == []

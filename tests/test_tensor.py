@@ -12,6 +12,7 @@ from siamverify import Graph, NetworkSpec, Tensor, build_network, forward_embedd
 from siamverify import ops
 from siamverify.errors import ConfigError, NumericError, ShapeError, StateError
 from siamverify.gradcheck import GradCheckResult, _kink_signature
+from sums import assert_within_summation_bound
 
 
 class TestConv2d:
@@ -185,11 +186,9 @@ class TestConv2dStack:
         for i, (yi, dxi, _, _) in enumerate(alone):
             assert y[i * cout:(i + 1) * cout].tobytes() == yi.tobytes()
             assert dx[i * cin:(i + 1) * cin].tobytes() == dxi.tobytes()
-        # the tape adds n one-image calls' gradients from the last call to the first
-        want_dk, want_db = alone[-1][2], alone[-1][3]
-        for _, _, dki, dbi in alone[-2::-1]:
-            want_dk, want_db = want_dk + dki, want_db + dbi
-        assert dk.tobytes() == want_dk.tobytes() and db.tobytes() == want_db.tobytes()
+        # the kernel and bias gradients are the stack's sums of the one-image terms
+        assert_within_summation_bound([dki for _, _, dki, _ in alone], dk)
+        assert_within_summation_bound([dbi for _, _, _, dbi in alone], db)
 
     @pytest.mark.parametrize("channels,cin", [(3, 2), (5, 2), (0, 2), (2, 0)])
     def test_channels_not_a_multiple_of_cin_raise(self, channels, cin):
@@ -304,9 +303,9 @@ class TestPrimitives:
     @pytest.mark.parametrize("m, k, n", [(16, 32, 5), (1, 16, 7), (64, 1024, 3),
                                          (1, 16, 8), (1, 3, 40), (4, 9, 12)])
     def test_linear_rows_bitwise_equal_vector_calls(self, m, k, n):
-        """Rows have the bits of n vector calls on one tape: the outputs, the
-        input-gradient rows, and dW and db, which the tape sums from the last
-        call to the first."""
+        """Rows have the bits of n vector calls on one tape in the outputs and
+        the input-gradient rows.  dW and db, on both paths, are sums of the
+        rows' terms (outer(go_i, x_i) and go_i) within the summation bound."""
         rng = np.random.default_rng(m + k + n)
         w, b = Tensor(rng.standard_normal((m, k))), Tensor(rng.standard_normal(m))
         x, go = rng.standard_normal((n, k)), rng.standard_normal((n, m))
@@ -320,8 +319,29 @@ class TestPrimitives:
             return (np.stack([o.data for o in outs]), np.stack([grads[xt] for xt in xts]),
                     grads[w], grads[b])
 
-        for rows, vectors in zip(run([x], [go]), run(x, go)):
-            assert rows.reshape(vectors.shape).tobytes() == vectors.tobytes()
+        rows, vectors = run([x], [go]), run(x, go)
+        for got, want in zip(rows[:2], vectors[:2]):
+            assert got.reshape(want.shape).tobytes() == want.tobytes()
+        assert_within_summation_bound([np.outer(gi, xi) for gi, xi in zip(go, x)],
+                                      rows[2], vectors[2])
+        assert_within_summation_bound(go, rows[3], vectors[3])
+
+    def test_linear_weight_gradient_is_its_only_weight_sized_array(self):
+        # 4 rows through a (1024, 8192) weight: dW is 64 MiB, made by one gemm
+        rng = np.random.default_rng(11)
+        x, w = Tensor(rng.standard_normal((4, 8192))), Tensor(np.full((1024, 8192), 0.5))
+        b = Tensor(np.zeros(1024))
+        g = Graph([x, w, b])
+        out = ops.linear(g, x, w, b)
+        (_, _, backward_fn, _), = g.nodes
+        go = rng.standard_normal(out.shape)
+        tracemalloc.start()
+        try:
+            _, dw, _ = backward_fn(go)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dw.shape == w.shape and peak <= dw.nbytes + 2 ** 20
 
     @pytest.mark.parametrize("shapes", [[], [(), (2,)], [(3,), (3,), (4,)]])
     def test_stack_needs_tensors_of_one_shape(self, shapes):

@@ -12,6 +12,7 @@ from siamverify.trainer import NO_AUGMENT, apply_settings, pair_batch_loss, sett
 from siamverify.dataset import ImageRecord, PairRecord
 from siamverify.errors import ConfigError, NumericError
 from imagefiles import write_pgm
+from sums import assert_within_summation_bound
 
 TINY = NetworkSpec.tiny()
 NO_AUG = AugmentConfig(gaussian_sigma=0.0, flip_prob=0.0,
@@ -129,9 +130,11 @@ class TestPairBatchLoss:
     @pytest.mark.parametrize("seed", [4, 5, 6])
     @pytest.mark.parametrize("n", [3, 8, 16])
     def test_matches_inline_per_pair_tape(self, n, seed, zero_pair):
-        """The rows path has the per-pair tape's loss and gradient bits.  An
-        all-zero image embeds to a zero vector at init (the biases are 0), so
-        ``zero_pair`` gives pair 1 a ~0-norm cosine row."""
+        """The rows path has the per-pair tape's loss bits.  Its parameter
+        gradients, and the per-pair tape's, are sums of the terms the per-pair
+        tape's one-image and one-pair calls pass back, within the summation
+        bound.  An all-zero image embeds to a zero vector at init (the biases
+        are 0), so ``zero_pair`` gives pair 1 a ~0-norm cosine row."""
         from siamverify import cosine_distance, ops, siamese_forward, total_loss
         rng = np.random.default_rng(seed)
         labels = [(1, 0, 0)[i % 3] for i in range(n)]
@@ -145,9 +148,11 @@ class TestPairBatchLoss:
         def grads(loss_fn):
             params = build_network(TINY, seed=3)
             g = Graph(params.tensors)
-            bd = loss_fn(params, g)
-            got = g.backward(bd.total_node)
-            return bd, [got[t].tobytes() for t in params.tensors]
+            with pytest.MonkeyPatch.context() as mp:
+                terms = _collect_terms(mp, params.tensors)
+                bd = loss_fn(params, g)
+                got = g.backward(bd.total_node)
+            return bd, [got[t] for t in params.tensors], terms
 
         def inline(params, g):
             d, p = [], []
@@ -158,11 +163,37 @@ class TestPairBatchLoss:
             return total_loss(ops.stack(g, d), ops.stack(g, p),
                               np.array(labels, dtype=float), cfg, g)
 
-        got, got_grads = grads(lambda params, g: pair_batch_loss(params, batch, cfg, g))
-        want, want_grads = grads(inline)
+        got, got_grads, _ = grads(lambda params, g: pair_batch_loss(params, batch, cfg, g))
+        want, want_grads, terms = grads(inline)
         assert (got.l_c, got.l_r, got.l_bce, got.l_total) == \
             (want.l_c, want.l_r, want.l_bce, want.l_total)
-        assert got_grads == want_grads
+        for stacked, per_pair, parts in zip(got_grads, want_grads, terms):
+            assert len(parts) in (n, 2 * n)  # one a pair (head) or one an image
+            assert_within_summation_bound(parts, stacked, per_pair)
+
+
+def _collect_terms(mp, tensors) -> list[list]:
+    """Patch ``Graph.record`` through ``mp`` so that every gradient a recorded
+    node's backward passes to ``tensors[i]`` is also appended to the i-th list
+    returned."""
+    record = Graph.record
+    terms = [[] for _ in tensors]
+    slot = {id(t): i for i, t in enumerate(tensors)}
+
+    def collecting(self, output, inputs, backward_fn, pattern=None):
+        slots = [slot.get(id(t)) for t in inputs]
+
+        def backward(go):
+            grads = backward_fn(go)
+            for i, grad in zip(slots, grads):
+                if i is not None and grad is not None:
+                    terms[i].append(grad)
+            return grads
+
+        record(self, output, inputs, backward, pattern)
+
+    mp.setattr(Graph, "record", collecting)
+    return terms
 
 
 def _batch8(seed=0):
