@@ -113,17 +113,12 @@ def _write_config(out_dir, config: dict) -> None:
         json.dump(config, f, indent=2, sort_keys=True)
 
 
-def _records_for_split(records, split):
-    return records if split is None else [r for r in records if r.split == split]
-
-
 def _cmd_train(args) -> int:
     spec = NetworkSpec.profile(args.profile)
     cfg = apply_settings(TrainConfig(), {"freeze_k": DEFAULT_FREEZE[args.profile],
                                          **(_read_json(args.config, dict) if args.config else {}),
                                          **_given(args, SETTINGS)})
-    records = parse_manifest(args.manifest)
-    records = [r for r in records if r.split == "train"]
+    records = [r for r in parse_manifest(args.manifest) if r.split == "train"]
     if args.web_manifest:
         records = merge_weak_labels(records, parse_manifest(args.web_manifest))
     pairs = generate_pairs(records, "overall")
@@ -145,7 +140,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     params = load_params(args.checkpoint)
-    records = _records_for_split(parse_manifest(args.manifest), args.split)
+    records = [r for r in parse_manifest(args.manifest) if args.split in (None, r.split)]
     pairs = generate_pairs(records, "overall")
     resolved = {"command": "eval", "checkpoint": args.checkpoint,
                 "manifest": args.manifest, "protocol": "overall",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import images
 from .atomic import atomic_open
-from .errors import ConfigError, DomainError, ManifestError
+from .errors import ConfigError, DomainError, ManifestError, finite_real
 from .tensor import Tensor
 
 KINDS = ("genuine", "disguised", "impostor")
@@ -65,9 +65,7 @@ class AugmentConfig:
                                         ("max_translate_px", (int, np.integer), "an int", ">= 0")):
             value = getattr(self, name)
             high = 1.0 if name == "flip_prob" else np.inf
-            # bool is no number; nan fails isfinite
-            if (isinstance(value, bool) or not isinstance(value, kinds)
-                    or not (np.isfinite(value) and 0 <= value <= high)):
+            if not isinstance(value, kinds) or not (finite_real(value) and 0 <= value <= high):
                 raise ConfigError(f"{name} must be {kind}, finite and {span}, got {value!r}")
 
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number test of its config checks."""
+
+import math
+
+import numpy as np
 
 
 class ShapeError(ValueError):
@@ -27,3 +31,12 @@ class FormatError(ValueError):
 
 class ManifestError(ValueError):
     """A manifest line is malformed; message names the offending line."""
+
+
+def finite_real(value) -> bool:
+    """An int or float, Python's or numpy's but no bool, that float64 holds finite."""
+    try:
+        return (isinstance(value, (int, float, np.integer, np.floating))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an int past float64's range
+        return False

@@ -217,9 +217,7 @@ def run_ablation(grid: list, train_records, eval_records, base_cfg: TrainConfig,
                 raise ConfigError(f"use_web must be a boolean, got {use_web!r}")
             if use_web and not web_records:
                 raise ConfigError("use_web is true but no web records were given")
-            records = list(train_records)
-            if use_web:
-                records = merge_weak_labels(records, web_records)
+            records = merge_weak_labels(train_records, web_records) if use_web else train_records
             pairs = generate_pairs(records, "overall")
             params, _, _ = train(build_network(spec, seed=cfg.seed), pairs, cfg)
             eval_pairs = generate_pairs(eval_records, "overall")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, finite_real
 from .tensor import Graph, Tensor
 
 _NORM_EPS = 1e-12
@@ -35,11 +35,14 @@ class LossConfig:
     w_neg: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.margin <= 1.0):
-            raise ConfigError(f"margin {self.margin} outside (0, 1]")
-        if not all(np.isfinite(w) and w > 0 for w in (self.w_pos, self.w_neg)):
+        if not finite_real(self.margin) or not 0.0 < self.margin <= 1.0:
+            raise ConfigError(f"margin must be a real number in (0, 1], got {self.margin!r}")
+        if not all(finite_real(w) and w > 0 for w in (self.w_pos, self.w_neg)):
             raise ConfigError(f"class weights must be finite and positive, "
-                              f"got {self.w_pos}, {self.w_neg}")
+                              f"got {self.w_pos!r}, {self.w_neg!r}")
+        if not all(isinstance(on, bool) for on in (self.enable_lr, self.enable_lbce)):
+            raise ConfigError(f"enable_lr and enable_lbce must be bools, "
+                              f"got {self.enable_lr!r}, {self.enable_lbce!r}")
 
 
 @dataclass
@@ -139,8 +142,7 @@ def total_loss(d, p, y, cfg: LossConfig, g: Graph | None = None) -> LossBreakdow
     """Sum of enabled components; disabled ones report 0 and are excluded."""
     d, y = _batch(d, y)
     p, _ = _batch(p, y)
-    lc = contrastive_loss(d, y, cfg, g)
-    total = lc
+    total = lc = contrastive_loss(d, y, cfg, g)
     lr_val = lbce_val = 0.0
     if cfg.enable_lr:
         lr = mse_loss(p, y, cfg, g)

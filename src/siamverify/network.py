@@ -64,11 +64,9 @@ class NetworkSpec:
         return self.conv_layer_count + len(self.fc) + len(self.head)
 
     def flat_size(self) -> int:
-        c, h, w = self.input_shape
-        for out_c, _ in self.stages:
-            c = out_c
-            h, w = h // 2, w // 2
-        return c * h * w
+        _, h, w = self.input_shape
+        k = len(self.stages)  # each stage ends in a 2x2 pool
+        return self.stages[-1][0] * (h >> k) * (w >> k)
 
     def layer_shapes(self) -> list[tuple[str, tuple, tuple]]:
         """(kind, weight shape, bias shape) per weighted layer, in order."""
@@ -168,10 +166,7 @@ def freeze_prefix(params: NetworkParams, k: int) -> NetworkParams:
     n_conv = params.spec.conv_layer_count
     if k < 0 or k > n_conv:
         raise ConfigError(f"freeze prefix {k} exceeds {n_conv} conv layers")
-    mask = [False] * len(params.tensors)
-    for i in range(2 * k):
-        mask[i] = True
-    params.freeze = mask
+    params.freeze = [i < 2 * k for i in range(len(params.tensors))]
     return params
 
 

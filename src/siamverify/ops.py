@@ -19,11 +19,11 @@ band at most ``_COLS_BYTES`` (16 MiB) of float64 where one output row fits,
 so no whole-layer column matrix is built; a layer whose columns fit is one
 band.  A band's gemm may round differently from a whole-layer gemm in the
 last bits, wherever the band starts; a one-band layer is unaffected.  On the
-tape a conv keeps its padded input, not its columns.  Its backward goes
-image by image, rebuilding that image's whole column matrix.  Backward
-returns ``None`` for an input the tape does not keep (``Graph.keeps``), such
-as an image or a frozen prefix's output, and skips that input's gradient
-gemm and col2im.
+tape a conv keeps its padded input, not its columns.  Backward adds the
+kernel gradient image by image from each image's whole column matrix; the
+input gradient is the forward's banded correlation with flipped kernels
+(see ``conv2d``), or ``None`` for an input the tape does not keep
+(``Graph.keeps``), such as an image or a frozen prefix's output.
 
 What keeps its bits across a stack: each forward row or image, and each
 input gradient, has the bits of that row or image passed alone.  A
@@ -106,8 +106,8 @@ def relu(g, a) -> Tensor:
 
 def sigmoid(g, a) -> Tensor:
     x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(s)
     return _rec(g, out, (a,), lambda go: (go * s * (1.0 - s),))
 
@@ -215,14 +215,20 @@ def _im2col(xp: np.ndarray, r0: int, r1: int) -> np.ndarray:
     return view.reshape(c * 9, (r1 - r0) * (wp - 2))
 
 
-def _col2im(cols: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
-    """The input gradient: 3x3 columns of a c x h x w input summed back, padding dropped."""
-    xp = np.zeros((c, h + 2, w + 2))
-    cols = cols.reshape(c, 3, 3, h, w)
-    for i in range(3):
-        for j in range(3):
-            xp[:, i:i + h, j:j + w] += cols[:, i, j]
-    return xp[:, 1:h + 1, 1:w + 1]
+def _correlate(x: np.ndarray, kmat: np.ndarray):
+    """The zero-padded stack of (n, c, h, w) images ``x`` and its 3x3 correlation with the
+    (cout, c * 9) ``kmat``, (n, cout, h * w): one gemm per image and band of output rows."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2, w + 2))
+    xp[:, :, 1:h + 1, 1:w + 1] = x
+    y = np.empty((n, kmat.shape[0], h * w))
+    rows = max(1, _COLS_BYTES // (8 * c * 9 * w))
+    for xi, yi in zip(xp, y):
+        for r0 in range(0, h, rows):
+            r1 = min(r0 + rows, h)
+            # BLAS may round a band's gemm differently from the whole layer's in the last bits
+            np.matmul(kmat, _im2col(xi, r0, r1), out=yi[:, r0 * w:r1 * w])
+    return xp, y
 
 
 def conv2d(g, x, kernels, bias) -> Tensor:
@@ -243,16 +249,8 @@ def conv2d(g, x, kernels, bias) -> Tensor:
         raise ShapeError(f"bias shape {bias.shape} != ({cout},)")
     n, h, w = x.shape[0] // cin, x.shape[1], x.shape[2]
 
-    xp = np.zeros((n, cin, h + 2, w + 2))
-    xp[:, :, 1:h + 1, 1:w + 1] = x.data.reshape(n, cin, h, w)
     kmat = kernels.data.reshape(cout, -1)
-    y = np.empty((n, cout, h * w))
-    rows = max(1, _COLS_BYTES // (8 * cin * 9 * w))
-    for xi, yi in zip(xp, y):
-        for r0 in range(0, h, rows):
-            r1 = min(r0 + rows, h)
-            # BLAS may round a band's gemm differently from the whole layer's in the last bits
-            np.matmul(kmat, _im2col(xi, r0, r1), out=yi[:, r0 * w:r1 * w])
+    xp, y = _correlate(x.data.reshape(n, cin, h, w), kmat)
     y += bias.data[:, None]
     out = Tensor(y.reshape(n * cout, h, w))
 
@@ -261,13 +259,14 @@ def conv2d(g, x, kernels, bias) -> Tensor:
 
     def backward(go):
         gmats = go.reshape(n, cout, h * w)
-        dx = np.empty((n, cin, h, w)) if want_dx else None
         dk = np.zeros((cout, cin * 9))
         for i, gmat in enumerate(gmats):
             dk += gmat @ _im2col(xp[i], 0, h).T
-            if want_dx:
-                dx[i] = _col2im(kmat.T @ gmat, cin, h, w)
         db = gmats.sum(axis=2).sum(axis=0)
+        dx = None  # after dk: an image's whole column matrix and dx are never held together
+        if want_dx:  # go's correlation with each kernel turned 180 degrees, cin and cout swapped
+            flipped = kmat.reshape(kshape)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+            dx = _correlate(go.reshape(n, cout, h, w), flipped)[1]
         return (None if dx is None else dx.reshape(n * cin, h, w), dk.reshape(kshape), db)
 
     return _rec(g, out, (x, kernels, bias), backward)

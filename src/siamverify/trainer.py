@@ -17,7 +17,7 @@ import numpy as np
 from . import losses, ops
 from .atomic import atomic_open
 from .dataset import AugmentConfig, PairRecord, augment, load_image, pair_rng
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, finite_real
 from .losses import LossBreakdown, LossConfig, class_weights, total_loss
 from .network import NetworkParams, forward_embedding, forward_head, freeze_prefix, save_params
 from .tensor import Graph
@@ -46,8 +46,13 @@ class TrainConfig:
             low = 1 if name == "batch_size" else 0
             if value < low:
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be a finite positive number, got {self.lr}")
+        if not (finite_real(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a finite positive number, got {self.lr!r}")
+        for name, kind in (("class_balance", bool), ("loss", LossConfig),
+                           ("augment", AugmentConfig)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
 # Every run setting under the one name that --config files, ablation grid entries
@@ -221,8 +226,7 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
                 if not np.isfinite(bd.l_total):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
                 sgd_step(params, g.backward(bd.total_node), cfg.lr)
-                n = len(batch)
-                sums += np.array([bd.l_c, bd.l_r, bd.l_bce, bd.l_total]) * n
+                sums += np.array([bd.l_c, bd.l_r, bd.l_bce, bd.l_total]) * len(batch)
                 labels = np.array([pair.y for _, pair in batch])
                 n_correct += int(np.sum((bd.p >= 0.5) == (labels == 1)))
         except NumericError:
@@ -231,13 +235,8 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
                 _checkpoint(params, out_dir, "abort")
             raise
 
-        n_pairs = len(pairs)
-        row = EpochRow(epoch=epoch,
-                       l_c=sums[0] / n_pairs, l_r=sums[1] / n_pairs,
-                       l_bce=sums[2] / n_pairs, l_total=sums[3] / n_pairs,
-                       train_acc=n_correct / n_pairs,
-                       seconds=time.perf_counter() - t0)
-        log.rows.append(row)
+        log.rows.append(EpochRow(epoch, *(sums / len(pairs)), n_correct / len(pairs),
+                                 time.perf_counter() - t0))
         if out_dir is not None and cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
             checkpoints.append(_checkpoint(params, out_dir, epoch))
 

@@ -58,7 +58,8 @@ class TestPairs:
         assert main(["pairs", "--manifest", corpus[0], "--protocol", "obfuscation",
                      "--out", str(out)]) == 0
         capsys.readouterr()
-        rows = list(csv.reader(out.open()))
+        with out.open() as f:
+            rows = list(csv.reader(f))
         assert rows[0] == ["identity", "path_a", "path_b", "label", "protocol"]
         assert len(rows) > 1
         assert all(r[3] == "1" and r[4] == "obfuscation" for r in rows[1:])
@@ -232,7 +233,8 @@ class TestAblate:
         capsys.readouterr()
         error = json.loads((out / "ablation.json").read_text())[0]["error"]
         assert "," in error
-        header, *rows = list(csv.reader((out / "ablation.csv").open(newline="")))
+        with (out / "ablation.csv").open(newline="") as f:
+            header, *rows = list(csv.reader(f))
         assert header[-1] == "error" and len(rows) == 1
         assert len(rows[0]) == len(header)
         assert rows[0][0] == "too_wide" and rows[0][-1] == error

@@ -348,7 +348,8 @@ class TestAugment:
             AugmentConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["gaussian_sigma", "max_rotation_deg", "max_translate_px"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    # 10**400 is an int past float64's largest finite value
+    @pytest.mark.parametrize("value", [np.nan, np.inf, pytest.param(10 ** 400, id="10**400")])
     def test_non_finite_magnitude_rejected(self, field, value):
         with pytest.raises(ConfigError, match="finite"):
             AugmentConfig(**{field: value})

@@ -150,10 +150,19 @@ class TestContrastive:
             LossConfig(margin=0.0)
 
     @pytest.mark.parametrize("w_pos,w_neg", [(np.nan, 1.0), (1.0, np.inf), (np.nan, np.inf),
-                                             (0.0, 1.0), (1.0, -2.0)])
+                                             (0.0, 1.0), (1.0, -2.0), ("1", 1.0), (True, 1.0),
+                                             pytest.param(1.0, 10 ** 400, id="1.0-10**400")])
     def test_class_weights_finite_and_positive(self, w_pos, w_neg):
         with pytest.raises(ConfigError, match="class weights"):
             LossConfig(w_pos=w_pos, w_neg=w_neg)
+
+    @pytest.mark.parametrize("field,value,needle", [
+        ("margin", "0.5", "margin must be"), ("margin", True, "margin must be"),
+        ("enable_lr", "no", "enable_lr and enable_lbce must be bools"),
+        ("enable_lbce", 1, "enable_lr and enable_lbce must be bools")])
+    def test_mistyped_config_rejected(self, field, value, needle):
+        with pytest.raises(ConfigError, match=needle):
+            LossConfig(**{field: value})
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10), st.data())
     @settings(max_examples=50, deadline=None)

@@ -60,11 +60,11 @@ class TestConv2d:
 
 
 def _whole_layer_conv(x, k, b, stride, pad, go):
-    """Reference: one whole-layer im2col conv, forward and backward for ``go``.
+    """Reference: one whole-layer im2col conv, forward and parameter gradients for ``go``.
 
-    Returns (y, dx, dk, db).
+    Returns (y, dk, db).
     """
-    cin, h, w = x.shape
+    cin = x.shape[0]
     cout, _, kh, kw = k.shape
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
     ho = (xp.shape[1] - kh) // stride + 1
@@ -77,17 +77,23 @@ def _whole_layer_conv(x, k, b, stride, pad, go):
     kmat = k.reshape(cout, -1)
     y = (kmat @ cols).reshape(cout, ho, wo) + b[:, None, None]
     gmat = go.reshape(cout, -1)
-    dcols = (kmat.T @ gmat).reshape(cin, kh, kw, ho, wo)
-    dxp = np.zeros_like(xp)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
-    return (y, dxp[:, pad:pad + h, pad:pad + w], (gmat @ cols.T).reshape(k.shape),
-            gmat.sum(axis=1))
+    return y, (gmat @ cols.T).reshape(k.shape), gmat.sum(axis=1)
+
+
+def _dx_terms(k, go):
+    """The cout * 9 products whose sum is a 3x3, pad-1 conv's input gradient for ``go``.
+
+    Product (o, i, j) at input pixel (c, r, s) is k[o, c, i, j] times ``go`` at
+    output pixel (o, r + 1 - i, s + 1 - j), or zero past the edge.
+    """
+    cout, (h, w) = k.shape[0], go.shape[1:]
+    gop = np.pad(go, ((0, 0), (1, 1), (1, 1)))
+    return [k[o, :, i, j, None, None] * gop[o, None, 2 - i:2 - i + h, 2 - j:2 - j + w]
+            for o in range(cout) for i in range(3) for j in range(3)]
 
 
 class TestConv2dBands:
-    """Banded im2col gives the whole-layer conv's bytes, forward and backward."""
+    """Banded im2col gives the whole-layer conv's bytes, forward and parameter gradients."""
 
     @pytest.mark.parametrize("cin,extra_row", [(1, 0), (1, 1), (2, 0), (2, 1)])
     @pytest.mark.parametrize("rows", [1, 2, 3, None])  # None: the default budget, one band
@@ -108,10 +114,31 @@ class TestConv2dBands:
         out = ops.conv2d(g, x, k, b)
         go = rng.standard_normal(out.shape)
         grads = g.backward(ops.tsum(g, ops.mul(g, out, Tensor(go))))
-        want = _whole_layer_conv(xv, kv, bv, 1, 1, go)
-        for got, ref in zip((out.data, grads[x], grads[k], grads[b]), want):
+        y, dk, db = _whole_layer_conv(xv, kv, bv, 1, 1, go)
+        for got, ref in zip((out.data, grads[k], grads[b]), (y, dk, db)):
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
+        # the input gradient is a correlation of its own, summed in its own order
+        assert_within_summation_bound(_dx_terms(kv, go), grads[x])
+
+    @pytest.mark.parametrize("cin,extra_row", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])  # None: the default budget, one band
+    def test_input_gradient_is_the_flipped_kernels_forward(self, monkeypatch, cin, extra_row,
+                                                          rows):
+        # the input gradient of a stride-1, pad-1 correlation is the correlation
+        # of the output gradient with each kernel turned 180 degrees and its in
+        # and out channels swapped (Dumoulin and Visin 2016, sec. 4)
+        w = 8
+        rng = np.random.default_rng(10 * cin + extra_row)
+        xv = rng.standard_normal((cin, 12 + extra_row, w))
+        kv, bv = rng.standard_normal((3, cin, 3, 3)), rng.standard_normal(3)
+        if rows is not None:
+            monkeypatch.setattr(ops, "_COLS_BYTES", rows * 8 * cin * 3 * 3 * w)
+        go = rng.standard_normal((3, 12 + extra_row, w))
+        _, dx, _, _ = _conv_closure(xv, kv, bv, go)
+        flipped = np.ascontiguousarray(kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        want = ops.conv2d(None, Tensor(go), Tensor(flipped), Tensor(np.zeros(cin)))
+        np.testing.assert_array_equal(dx, want.data)
 
     def test_recorded_conv_keeps_padded_input_not_columns(self):
         # the 9x column matrix of a 3x3 conv must not wait on the tape for backward
@@ -131,27 +158,31 @@ class TestConv2dBands:
 
     @pytest.mark.parametrize("extra_col", [0, 1])  # 1: a 7x8 input, height != width
     def test_unkept_input_gets_no_gradient(self, monkeypatch, extra_col):
-        # an input the tape does not keep gets None from the closure, and its
-        # gemm and col2im are skipped; the kernel and bias gradients keep their bytes
+        # an input the tape does not keep gets None from the closure, and backward
+        # runs no correlation for it; the kernel and bias gradients keep their bytes
         rng = np.random.default_rng(extra_col)
         xv, kv, bv = (rng.standard_normal((2, 7, 7 + extra_col)),
                       rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3))
         go = rng.standard_normal((3, 7, 7 + extra_col))
         calls = []
-        col2im = ops._col2im
-        monkeypatch.setattr(ops, "_col2im", lambda *a: calls.append(a) or col2im(*a))
+        correlate = ops._correlate
+        monkeypatch.setattr(ops, "_correlate", lambda *a: calls.append(a) or correlate(*a))
 
         def closure_grads(wrt_x):
             x, k, b = Tensor(xv), Tensor(kv), Tensor(bv)
             g = Graph([x, k, b] if wrt_x else [k, b])
             ops.conv2d(g, x, k, b)
+            assert len(calls) == 1  # the forward's
             (_, _, backward_fn, _), = g.nodes
-            return backward_fn(go)
+            grads = backward_fn(go)
+            assert len(calls) == 1 + wrt_x
+            calls.clear()
+            return grads
 
         dx, dk, db = closure_grads(False)
-        assert dx is None and not calls
+        assert dx is None
         want_dx, want_dk, want_db = closure_grads(True)
-        assert want_dx.shape == xv.shape and len(calls) == 1
+        assert want_dx.shape == xv.shape
         assert dk.tobytes() == want_dk.tobytes() and db.tobytes() == want_db.tobytes()
 
 

@@ -514,6 +514,16 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
         assert getattr(TrainConfig(**{field: 0}), field) == 0
 
+    @pytest.mark.parametrize("field,value,needle", [
+        ("lr", "0.1", "lr must be a finite"), ("lr", True, "lr must be a finite"),
+        pytest.param("lr", 10 ** 400, "lr must be a finite", id="lr-10**400"),
+        ("class_balance", "no", "class_balance must be"), ("loss", None, "loss must be"),
+        ("augment", None, "augment must be"),
+    ])
+    def test_mistyped_fields_rejected(self, field, value, needle):
+        with pytest.raises(ConfigError, match=needle):
+            TrainConfig(**{field: value})
+
     def test_negative_checkpoint_every(self):
         with pytest.raises(ConfigError, match="checkpoint_every"):
             TrainConfig(checkpoint_every=-1)
@@ -548,6 +558,7 @@ class TestSettings:
         ({"lr": float("inf")}, "lr must be a finite"),
         ({"lr": float("-inf")}, "lr must be a finite"),
         ({"lr": float("nan")}, "lr must be a finite"),
+        pytest.param({"lr": 10 ** 400}, "lr must be a finite", id="lr-10**400"),
     ])
     def test_rejected(self, settings, needle):
         with pytest.raises(ConfigError, match=needle):
