@@ -37,13 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--web-manifest")
     p_train.add_argument("--profile", default="tiny", choices=sorted(DEFAULT_FREEZE))
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--margin", type=float)
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--batch-size", type=int)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--freeze-k", type=int)
-    p_train.add_argument("--checkpoint-every", type=int)
+    _add_settings(p_train, [k for k, kind in SETTINGS.items() if kind is not bool])
     p_train.add_argument("--no-balance", dest="class_balance", action="store_false", default=None)
     p_train.add_argument("--no-lr-loss", dest="enable_lr", action="store_false", default=None)
     p_train.add_argument("--no-bce-loss", dest="enable_lbce", action="store_false", default=None)
@@ -75,10 +69,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_abl.add_argument("--manifest", required=True)
     p_abl.add_argument("--web-manifest")
     p_abl.add_argument("--profile", default="tiny", choices=sorted(DEFAULT_FREEZE))
-    p_abl.add_argument("--epochs", type=int)
-    p_abl.add_argument("--seed", type=int)
+    _add_settings(p_abl, ("epochs", "seed"))
     p_abl.add_argument("--out", required=True)
     return parser
+
+
+def _add_settings(parser, names) -> None:
+    """A ``--<name>`` flag for each setting in ``names``, of the type ``SETTINGS`` gives."""
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), type=SETTINGS[name])
 
 
 def _read_json(path, kind: type):
@@ -98,8 +97,14 @@ def _read_json(path, kind: type):
 
 
 def _given(args, keys) -> dict:
-    """The ``keys`` a flag sets; the others keep their default."""
-    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    """The ``keys`` whose flag is given; a key the command has no flag for is left out."""
+    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+
+
+def _record(args, **extras) -> dict:
+    """The parsed command, less its setting flags and ``--config``, plus ``extras``."""
+    return {**{k: v for k, v in vars(args).items() if k not in SETTINGS and k != "config"},
+            **extras}
 
 
 def _write_config(out_dir, config: dict) -> None:
@@ -123,12 +128,8 @@ def _cmd_train(args) -> int:
         records = merge_weak_labels(records, parse_manifest(args.web_manifest))
     pairs = generate_pairs(records, "overall")
 
-    resolved = {
-        "command": "train", "manifest": args.manifest, "web_manifest": args.web_manifest,
-        "profile": args.profile, "protocol": "overall", "out": args.out,
-        "n_records": len(records), "n_pairs": len(pairs), **settings_of(cfg),
-    }
-    _write_config(args.out, resolved)
+    _write_config(args.out, _record(args, protocol="overall", n_records=len(records),
+                                    n_pairs=len(pairs), **settings_of(cfg)))
 
     params = build_network(spec, seed=cfg.seed)
     _, log, checkpoints = train(params, pairs, cfg, out_dir=args.out)
@@ -142,11 +143,7 @@ def _cmd_eval(args) -> int:
     params = load_params(args.checkpoint)
     records = [r for r in parse_manifest(args.manifest) if args.split in (None, r.split)]
     pairs = generate_pairs(records, "overall")
-    resolved = {"command": "eval", "checkpoint": args.checkpoint,
-                "manifest": args.manifest, "protocol": "overall",
-                "mode": args.mode, "split": args.split, "out": args.out,
-                "n_pairs": len(pairs)}
-    _write_config(args.out, resolved)
+    _write_config(args.out, _record(args, protocol="overall", n_pairs=len(pairs)))
     scores = score_pairs(params, pairs, mode=args.mode)
     report = json.dumps(metrics_report(scores, args.mode), indent=2)  # rendered before any write
     roc_curve(scores).write_csv(os.path.join(args.out, "roc.csv"))
@@ -159,10 +156,7 @@ def _cmd_eval(args) -> int:
 def _cmd_pairs(args) -> int:
     records = parse_manifest(args.manifest)
     pairs = generate_pairs(records, args.protocol)
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    _write_config(out_dir, {"command": "pairs", "manifest": args.manifest,
-                            "protocol": args.protocol, "out": args.out,
-                            "n_pairs": len(pairs)})
+    _write_config(os.path.dirname(os.path.abspath(args.out)), _record(args, n_pairs=len(pairs)))
     export_pairs_csv(pairs, args.out)
     print(f"wrote {len(pairs)} pairs to {args.out}")
     return 0
@@ -196,11 +190,8 @@ def _cmd_ablate(args) -> int:
     web = parse_manifest(args.web_manifest) if args.web_manifest else None
     spec = NetworkSpec.profile(args.profile)
     base_cfg = apply_settings(TrainConfig(), {"freeze_k": DEFAULT_FREEZE[args.profile],
-                                              **_given(args, ("epochs", "seed"))})
-    _write_config(args.out, {"command": "ablate", "grid": grid, "manifest": args.manifest,
-                             "web_manifest": args.web_manifest, "profile": args.profile,
-                             "protocol": "overall", "out": args.out,
-                             **settings_of(base_cfg)})
+                                              **_given(args, SETTINGS)})
+    _write_config(args.out, _record(args, grid=grid, protocol="overall", **settings_of(base_cfg)))
     rows = run_ablation(grid, train_records, eval_records, base_cfg, spec,
                         out_dir=args.out, web_records=web)
     for row in rows:

@@ -59,12 +59,14 @@ class AugmentConfig:
 
     def __post_init__(self):
         reals = (int, float, np.integer, np.floating)
-        for name, kinds, kind, span in (("gaussian_sigma", reals, "a real number", ">= 0"),
-                                        ("flip_prob", reals, "a real number", "in [0, 1]"),
-                                        ("max_rotation_deg", reals, "a real number", ">= 0"),
-                                        ("max_translate_px", (int, np.integer), "an int", ">= 0")):
+        for name, kinds, kind, high, span in (
+                ("gaussian_sigma", reals, "a real number", np.inf, ">= 0"),
+                ("flip_prob", reals, "a real number", 1.0, "in [0, 1]"),
+                ("max_rotation_deg", reals, "a real number", np.inf, ">= 0"),
+                # augment draws the shift with rng.integers, whose bounds are int64
+                ("max_translate_px", (int, np.integer), "an int", np.iinfo(np.int64).max,
+                 "in [0, 2**63 - 1]")):
             value = getattr(self, name)
-            high = 1.0 if name == "flip_prob" else np.inf
             if not isinstance(value, kinds) or not (finite_real(value) and 0 <= value <= high):
                 raise ConfigError(f"{name} must be {kind}, finite and {span}, got {value!r}")
 
@@ -202,8 +204,9 @@ def augment(img: Tensor, cfg: AugmentConfig, rng: np.random.Generator) -> Tensor
     angle = rng.uniform(-cfg.max_rotation_deg, cfg.max_rotation_deg)
     if cfg.max_rotation_deg > 0:
         out = images.rotate(out, angle)
-    dy = int(rng.integers(-cfg.max_translate_px, cfg.max_translate_px + 1))
-    dx = int(rng.integers(-cfg.max_translate_px, cfg.max_translate_px + 1))
+    shift = int(cfg.max_translate_px)  # -np.uint64(2) wraps, np.int64(2**63 - 1) + 1 overflows
+    dy = int(rng.integers(-shift, shift + 1))
+    dx = int(rng.integers(-shift, shift + 1))
     if dy or dx:
         out = images.translate(out, dy, dx)
     if cfg.gaussian_sigma > 0:

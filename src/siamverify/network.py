@@ -123,11 +123,9 @@ class NetworkSpec:
 
     @classmethod
     def profile(cls, name: str) -> "NetworkSpec":
-        if name == "tiny":
-            return cls.tiny()
-        if name == "vggface16":
-            return cls.vggface16()
-        raise ConfigError(f"unknown profile {name!r}")
+        if name not in DEFAULT_FREEZE:  # the profiles, each a constructor of its name
+            raise ConfigError(f"unknown profile {name!r}")
+        return getattr(cls, name)()
 
 
 DEFAULT_FREEZE = {"tiny": 1, "vggface16": 4}

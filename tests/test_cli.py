@@ -12,7 +12,8 @@ from siamverify import cli
 from siamverify.cli import main
 from siamverify.gradcheck import GradCheckResult
 from siamverify.losses import LossConfig
-from siamverify.network import DEFAULT_FREEZE
+from siamverify.errors import ConfigError
+from siamverify.network import DEFAULT_FREEZE, NetworkSpec
 from siamverify.trainer import (NO_AUGMENT, SETTINGS, TrainConfig, TrainLog,
                                 apply_settings, settings_of)
 from corpus import build_corpus
@@ -319,6 +320,12 @@ class TestLibraryDefaults:
         assert base_cfg.freeze_k == DEFAULT_FREEZE["vggface16"]
 
 
+def _subparser(command):
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
 def _capture_train(monkeypatch):
     seen = []
 
@@ -411,9 +418,7 @@ class TestSettings:
         assert seen[1] == cfg
 
     def test_train_setting_flags_are_the_settings(self):
-        sub = next(a for a in cli._build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        dests = {a.dest for a in sub.choices["train"]._actions}
+        dests = {a.dest for a in _subparser("train")._actions}
         other = {"help", "manifest", "web_manifest", "profile", "out", "config"}
         assert dests - other == set(SETTINGS)
 
@@ -457,3 +462,131 @@ class TestSettings:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["web_manifest"] == (corpus[1] if with_web else None)
         assert (seen[0] is not None) == with_web
+
+
+_REQUIRED = {"train": ["--manifest", "m.jsonl", "--out", "o"],
+             "ablate": ["--grid", "g.json", "--manifest", "m.jsonl", "--out", "o"]}
+_SETTING_FLAGS = [("train", k) for k, kind in SETTINGS.items() if kind is not bool] + \
+    [("ablate", "epochs"), ("ablate", "seed")]
+
+
+class TestDerivedFromTheLibrary:
+    """Setting flags, ``resolved_config.json`` keys and profiles come from the library's tables."""
+
+    @pytest.mark.parametrize("command,name", _SETTING_FLAGS)
+    def test_setting_flag_parses_to_the_settings_type(self, command, name):
+        flag = "--" + name.replace("_", "-")
+        args = cli._build_parser().parse_args([command, *_REQUIRED[command], flag, "3"])
+        assert type(getattr(args, name)) is SETTINGS[name] and getattr(args, name) == 3
+
+    @pytest.mark.parametrize("command,name", _SETTING_FLAGS)
+    def test_setting_flag_of_the_wrong_type_exits_2(self, command, name, capsys):
+        flag = "--" + name.replace("_", "-")
+        bad = "2.5" if SETTINGS[name] is int else "x"
+        assert main([command, *_REQUIRED[command], flag, bad]) == 2
+        assert "invalid" in capsys.readouterr().err
+
+    def test_ablate_setting_flags(self):
+        dests = {a.dest for a in _subparser("ablate")._actions}
+        assert dests - {"help", "grid", "manifest", "web_manifest", "profile", "out"} == \
+            {"epochs", "seed"}
+
+    @pytest.mark.parametrize("command", ["train", "eval", "pairs", "ablate"])
+    def test_record_is_the_parsed_command_plus_its_extras(self, corpus, trained, tmp_path,
+                                                          monkeypatch, capsys, command):
+        _capture_train(monkeypatch)
+        monkeypatch.setattr(cli, "run_ablation", lambda *a, **kw: [])
+        (tmp_path / "grid.json").write_text('[{"label": "a", "use_web": true}]')
+        (tmp_path / "cfg.json").write_text('{"lr": 0.01}')
+        out = tmp_path / "run"
+        argv = {"train": ["train", "--manifest", corpus[0], "--web-manifest", corpus[1],
+                          "--config", str(tmp_path / "cfg.json"), "--epochs", "1",
+                          "--no-augment", "--out", str(out)],
+                "eval": ["eval", "--checkpoint", str(trained / "checkpoint_final.dgnet"),
+                         "--manifest", corpus[0], "--mode", "cosine", "--out", str(out)],
+                "pairs": ["pairs", "--manifest", corpus[0], "--protocol", "impersonation",
+                          "--out", str(out / "pairs.csv")],
+                "ablate": ["ablate", "--grid", str(tmp_path / "grid.json"), "--manifest",
+                           corpus[0], "--seed", "2", "--out", str(out)]}[command]
+        parsed = {k: v for k, v in vars(cli._build_parser().parse_args(argv)).items()
+                  if k not in SETTINGS and k != "config"}
+        extras = {"train": {"protocol", "n_records", "n_pairs"}, "eval": {"protocol", "n_pairs"},
+                  "pairs": {"n_pairs"}, "ablate": {"protocol"}}[command]
+        settings = set(SETTINGS) if command in ("train", "ablate") else set()
+        assert main(argv) == 0
+        capsys.readouterr()
+        record = json.loads((out / "resolved_config.json").read_text())
+        assert set(record) == set(parsed) | extras | settings
+        if command == "ablate":  # the parsed grid in place of its path
+            parsed["grid"] = json.loads((tmp_path / "grid.json").read_text())
+        assert {k: record[k] for k in parsed} == parsed
+        if "protocol" in extras:
+            assert record["protocol"] == "overall"
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_FREEZE))
+    def test_profile_builds_each_name(self, name):
+        spec = NetworkSpec.profile(name)
+        assert spec == getattr(NetworkSpec, name)() and spec.name == name
+
+    @pytest.mark.parametrize("name", ["resnet", "", "TINY", "profile", "from_dict",
+                                      "fingerprint"])
+    def test_other_profile_names_are_a_config_error(self, name):
+        with pytest.raises(ConfigError, match="unknown profile"):
+            NetworkSpec.profile(name)
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck", "ablate"])
+    def test_profile_choices_are_the_profiles(self, command):
+        action = next(a for a in _subparser(command)._actions if a.dest == "profile")
+        assert action.choices == sorted(DEFAULT_FREEZE) and action.default in DEFAULT_FREEZE
+
+
+def _run_files(root) -> dict:
+    """Each file under ``root``, by relative path, with its wall-time fields masked."""
+    files = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                data = f.read()
+            if name == "trainlog.csv":
+                lines = data.decode().splitlines()
+                assert lines[0].endswith(",seconds")
+                data = [line.rsplit(",", 1)[0] for line in lines]
+            elif name == "ablation.json":
+                data = [{**row, "seconds": None} for row in json.loads(data)]
+            files[os.path.relpath(path, root)] = data
+    return files
+
+
+class TestRerun:
+    """A rerun into the same directory writes the same bytes, bar the wall-time fields."""
+
+    def test_every_command_rewrites_the_same_files(self, corpus, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"label": "dfw"}, {"label": "web", "use_web": True}]))
+        checkpoint = str(runs / "train" / "checkpoint_final.dgnet")
+        commands = [
+            ["train", "--manifest", corpus[0], "--epochs", "2", "--batch-size", "4",
+             "--seed", "3", "--checkpoint-every", "1", "--out", str(runs / "train")],
+            *(["eval", "--checkpoint", checkpoint, "--manifest", corpus[0], "--mode", mode,
+               "--out", str(runs / f"eval_{mode}")] for mode in ("head", "cosine")),
+            ["pairs", "--manifest", corpus[0], "--protocol", "obfuscation",
+             "--out", str(runs / "pairs" / "pairs.csv")],
+            ["ablate", "--grid", str(grid), "--manifest", corpus[0], "--web-manifest",
+             corpus[1], "--epochs", "1", "--out", str(runs / "ablate")],
+        ]
+        snapshots = []
+        for _ in range(2):
+            for argv in commands:
+                assert main(argv) == 0, argv
+            capsys.readouterr()
+            snapshots.append(_run_files(runs))
+        first, again = snapshots
+        assert {"train/checkpoint_0.dgnet", "train/checkpoint_1.dgnet",
+                "train/checkpoint_final.dgnet", "train/trainlog.csv",
+                "eval_head/metrics.json", "eval_cosine/roc.csv", "pairs/pairs.csv",
+                "ablate/ablation.csv", "ablate/ablation.json"} <= set(first)
+        assert sorted(again) == sorted(first)
+        for path in first:
+            assert again[path] == first[path], path

@@ -334,11 +334,21 @@ class TestAugment:
         with pytest.raises(ConfigError):
             AugmentConfig(flip_prob=1.5)
 
-    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    # augment draws the shift with rng.integers, which takes int64 bounds only
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, pytest.param(2 ** 63, id="2**63"),
+                                       pytest.param(2 ** 64, id="2**64")])
     def test_translate_must_be_an_int(self, value):
         with pytest.raises(ConfigError, match="max_translate_px must be an int"):
             AugmentConfig(max_translate_px=value)
         assert AugmentConfig(max_translate_px=np.int64(2)).max_translate_px == 2
+
+    @pytest.mark.parametrize("value", [pytest.param(2 ** 63 - 1, id="2**63-1"),
+                                       pytest.param(np.int64(2 ** 63 - 1), id="int64-max"),
+                                       pytest.param(np.uint64(2), id="uint64")])
+    def test_any_accepted_translate_augments(self, value):
+        cfg = AugmentConfig(max_translate_px=value)
+        out = augment(self.IMG, cfg, pair_rng(0, 0, 0))
+        assert out.data.shape == self.IMG.data.shape
 
     @pytest.mark.parametrize("field,value", [
         ("gaussian_sigma", "0.1"), ("flip_prob", None), ("max_rotation_deg", [10.0]),
