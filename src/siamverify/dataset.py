@@ -139,11 +139,21 @@ def load_image(rec: ImageRecord, target: tuple[int, int, int]) -> Tensor:
     return Tensor(images.bilinear_resize(img, th, tw))
 
 
+def distinct_images(pairs: list[PairRecord]) -> tuple[list[ImageRecord], np.ndarray]:
+    """Distinct (file, crop) images by first appearance, and each pair's a and b rows."""
+    row_of, records, sides = {}, [], []
+    for rec in (side for pair in pairs for side in (pair.a, pair.b)):
+        row = row_of.setdefault((rec.path, rec.bbox), len(records))  # what load_image reads
+        if row == len(records):
+            records.append(rec)
+        sides.append(row)
+    return records, np.array(sides, dtype=np.intp).reshape(-1, 2)
+
+
 def merge_weak_labels(dfw: list[ImageRecord], web: list[ImageRecord]) -> list[ImageRecord]:
     """Union of curated records and weakly labelled web additions.
 
-    Each (identity, path) names one record, as within one manifest: training
-    and scoring key their image memos by it.
+    Each (identity, path) names one record, as within one manifest: one image, one label.
     """
     known = {r.identity for r in dfw}
     unknown = sorted({r.identity for r in web} - known)

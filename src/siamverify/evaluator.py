@@ -18,7 +18,7 @@ import numpy as np
 
 from . import losses
 from .atomic import atomic_open
-from .dataset import PairRecord, generate_pairs, load_image, merge_weak_labels
+from .dataset import PairRecord, distinct_images, generate_pairs, load_image, merge_weak_labels
 from .errors import ConfigError, DomainError
 from .network import NetworkParams, build_network, forward_embedding, forward_head
 from .tensor import Tensor
@@ -90,8 +90,8 @@ def score_pairs(params: NetworkParams, pairs: list[PairRecord],
                 mode: str = "head") -> ScoreSet:
     """Score each pair with the head sigmoid or raw embedding cosine.
 
-    The distinct images, in order of first appearance, are loaded and
-    embedded once each, in stacks whose largest conv output fits
+    Each distinct image (a file and its crop), in order of first appearance,
+    is loaded and embedded once, in stacks whose largest conv output fits
     ``_STACK_BYTES`` (one image where a single one does not), into the rows
     of an (images, fc2) matrix.  The head or cosine then runs once per block
     of ``_BLOCK_PAIRS`` pairs on their a-side and b-side rows; each score has
@@ -101,16 +101,7 @@ def score_pairs(params: NetworkParams, pairs: list[PairRecord],
         raise ConfigError(f"unknown scoring mode {mode!r}")
     if not pairs:
         raise ConfigError("no pairs to score")
-    row_of, distinct = {}, []
-
-    def row(rec):
-        key = (rec.identity, rec.path)
-        if key not in row_of:
-            row_of[key] = len(distinct)
-            distinct.append(rec)
-        return row_of[key]
-
-    rows = np.array([(row(pair.a), row(pair.b)) for pair in pairs])
+    distinct, rows = distinct_images(pairs)
     spec, target = params.spec, params.spec.input_shape
     _, h, w = target
     largest = max(out_c * (h >> i) * (w >> i) for i, (out_c, _) in enumerate(spec.stages))

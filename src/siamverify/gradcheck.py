@@ -50,8 +50,9 @@ def grad_check(loss_fn, params, eps: float = 1e-5,
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ConfigError(f"eps {eps} outside [1e-7, 1e-3]")
-    if max_coords_per_tensor is not None and max_coords_per_tensor < 1:
-        raise ConfigError(f"max_coords_per_tensor must be >= 1, got {max_coords_per_tensor}")
+    k = max_coords_per_tensor  # bool is an int subclass, but no count
+    if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1):
+        raise ConfigError(f"max_coords_per_tensor must be an int >= 1, got {k!r}")
     params = list(params)
     graph = Graph(params)
     out = loss_fn(graph)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import losses, ops
 from .atomic import atomic_open
-from .dataset import AugmentConfig, PairRecord, augment, load_image, pair_rng
+from .dataset import AugmentConfig, PairRecord, augment, distinct_images, load_image, pair_rng
 from .errors import ConfigError, NumericError, finite_real
 from .losses import LossBreakdown, LossConfig, class_weights, total_loss
 from .network import NetworkParams, forward_embedding, forward_head, freeze_prefix, save_params
@@ -136,16 +136,20 @@ def sgd_step(params: NetworkParams, grads: dict, lr: float) -> None:
     """theta <- theta - lr * grad, in place, for each tensor of ``params`` in ``grads``.
 
     ``grads`` is what ``Graph.backward`` returns; a tensor it lacks stays as
-    it is.  Every gradient is checked before any tensor moves, so a
-    non-finite gradient leaves all parameters as they were.  The update
-    writes into each ``t.data`` array, so a snapshot of the parameters must
-    be a copy.  The check and the update run over blocks of rows of at most
-    ``_STEP_BYTES`` (1 MiB), so no temporary is the size of a tensor; each
-    element gets the same multiply and subtract as a whole-array update.
+    it is.  Every updated value is checked before any tensor moves, so a
+    non-finite gradient or update leaves all parameters as they were.  The
+    update writes into each ``t.data`` array, so a snapshot of the parameters
+    must be a copy.  The check and the update run over blocks of rows of at
+    most ``_STEP_BYTES`` (1 MiB), so no temporary is the size of a tensor;
+    each element gets the same multiply and subtract as a whole-array update.
     """
-    for i, t in enumerate(params.tensors):
-        if t in grads and not all(np.isfinite(grads[t][s]).all() for s in _row_blocks(t.data)):
-            raise NumericError(f"non-finite gradient in parameter tensor {i}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing update is refused
+        for i, t in enumerate(params.tensors):
+            for s in _row_blocks(t.data) if t in grads else ():
+                step = lr * grads[t][s]  # the one temporary: the subtraction writes into it
+                if not np.isfinite(np.subtract(t.data[s], step, out=step)).all():
+                    raise NumericError(f"non-finite gradient or update in parameter tensor {i}")
+                del step  # before the next block allocates its own
     for t in params.tensors:
         if t in grads:
             for s in _row_blocks(t.data):
@@ -199,14 +203,8 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
     live = [t for t, frozen in zip(params.tensors, params.freeze) if not frozen]
     log = TrainLog()
     checkpoints = []
-    images = {}
-
-    def image(rec):
-        key = (rec.identity, rec.path)
-        if key not in images:
-            images[key] = load_image(rec, params.spec.input_shape)
-        return images[key]
-
+    records, rows = distinct_images(pairs)
+    images = [load_image(rec, params.spec.input_shape) for rec in records] if cfg.epochs else []
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         epoch_seed = int(np.random.SeedSequence((cfg.seed, epoch)).generate_state(1)[0])
@@ -218,8 +216,7 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
                 inputs = []
                 for idx, pair in batch:
                     rng = pair_rng(cfg.seed, epoch, idx)
-                    xa = augment(image(pair.a), cfg.augment, rng)
-                    xb = augment(image(pair.b), cfg.augment, rng)
+                    xa, xb = [augment(images[r], cfg.augment, rng) for r in rows[idx]]
                     inputs.append((xa, xb, pair.y))
                 g = Graph(live)
                 bd = pair_batch_loss(params, inputs, loss_cfg, g)

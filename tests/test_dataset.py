@@ -9,7 +9,8 @@ import pytest
 
 from siamverify import (AugmentConfig, ImageRecord, augment, generate_pairs,
                         load_image, merge_weak_labels, parse_manifest)
-from siamverify.dataset import export_pairs_csv, pair_rng, PAIR_CSV_HEADER
+from siamverify.dataset import (PairRecord, distinct_images, export_pairs_csv, pair_rng,
+                               PAIR_CSV_HEADER)
 from siamverify.errors import ConfigError, DomainError, FormatError, ManifestError
 from imagefiles import write_f64, write_pgm, write_ppm
 from siamverify.tensor import Tensor
@@ -187,6 +188,27 @@ class TestLoadImage:
             load_image(rec(path=str(path)), (1, 4, 4))
 
 
+class TestDistinctImages:
+    def test_first_appearance_order_and_rows(self):
+        whole = rec(path="a.pgm")
+        crop = rec(path="a.pgm", kind="disguised", bbox=(1, 2, 3, 4))
+        other = rec(path="b.pgm", kind="impostor")
+        web_twin = rec(identity="id02", path="a.pgm", source="web")  # whole's file and crop
+        pairs = [PairRecord(a, b, y, "overall") for a, b, y in [
+            (other, crop, 0), (crop, whole, 1), (web_twin, other, 0), (whole, web_twin, 1),
+            (crop, crop, 1)]]
+        records, rows = distinct_images(pairs)
+        assert records == [other, crop, whole]
+        assert rows.tolist() == [[0, 1], [1, 2], [2, 0], [2, 2], [1, 1]]
+        for pair, (ra, rb) in zip(pairs, rows):
+            assert (records[ra].path, records[ra].bbox) == (pair.a.path, pair.a.bbox)
+            assert (records[rb].path, records[rb].bbox) == (pair.b.path, pair.b.bbox)
+
+    def test_no_pairs(self):
+        records, rows = distinct_images([])
+        assert records == [] and rows.shape == (0, 2)
+
+
 class TestMergeWeakLabels:
     def test_reflags_web_records(self):
         dfw = [rec(), rec(path="b.pgm", kind="disguised")]
@@ -202,7 +224,7 @@ class TestMergeWeakLabels:
                                         ImageRecord("id98", "v", "genuine")])
 
     def test_repeated_identity_path_listed(self):
-        # a web record of a curated image would be fed the curated record's crop
+        # a web record of a curated image would give that image a second label
         dfw = [rec(), rec(path="b.pgm"), rec(identity="id02", path="b.pgm")]
         web = [rec(path="b.pgm", bbox=(0, 0, 4, 4)), rec(path="a.pgm"), rec(path="w.pgm")]
         with pytest.raises(ConfigError, match=r"\('id01', 'a.pgm'\), \('id01', 'b.pgm'\)$"):

@@ -222,6 +222,39 @@ class TestScorePairs:
         assert embedded.shape[0] == 4  # 6 pairs over 4 images
         assert np.unique(embedded.reshape(4, -1), axis=0).shape[0] == 4
 
+    def crop_pair(self, tmp_path):
+        """A whole image and its crop, filed under one (identity, path)."""
+        path = tmp_path / "big.pgm"
+        write_pgm(path, np.random.default_rng(3).random((1, 48, 48)))
+        whole = ImageRecord("id01", str(path), "genuine")
+        return PairRecord(whole, replace(whole, kind="disguised", bbox=(6, 10, 30, 28)),
+                          1, "overall")
+
+    @pytest.mark.parametrize("mode", ["head", "cosine"])
+    def test_crop_scores_like_its_pair_alone(self, tmp_path, mode):
+        from siamverify import cosine_similarity, load_image, siamese_forward
+        params = build_network(NetworkSpec.tiny(), seed=3)
+        pair, shape = self.crop_pair(tmp_path), params.spec.input_shape
+        emb_a, emb_b, p = siamese_forward(params, load_image(pair.a, shape),
+                                          load_image(pair.b, shape))
+        want = p if mode == "head" else cosine_similarity(emb_a, emb_b)
+        assert score_pairs(params, [pair], mode=mode).genuine.tobytes() == want.data.tobytes()
+
+    def test_file_and_crop_under_two_identities_loaded_once(self, tmp_path, monkeypatch):
+        crop = self.crop_pair(tmp_path).b
+        twin = replace(crop, identity="id02", source="web")
+        other = self.make_pairs(tmp_path, n=1)[0].a
+        real, loaded = evaluator.load_image, []
+
+        def counting(rec, target):
+            loaded.append((rec.path, rec.bbox))
+            return real(rec, target)
+
+        monkeypatch.setattr(evaluator, "load_image", counting)
+        pairs = [PairRecord(crop, other, 0, "overall"), PairRecord(other, twin, 1, "overall")]
+        score_pairs(build_network(NetworkSpec.tiny(), seed=0), pairs, mode="cosine")
+        assert loaded == [(crop.path, crop.bbox), (other.path, None)]
+
     def test_scores_equal_per_pair_forward(self, tmp_path):
         from siamverify import cosine_similarity, load_image, siamese_forward
         params = build_network(NetworkSpec.tiny(), seed=2)

@@ -644,6 +644,15 @@ class TestGradCheck:
     def test_unreached_params_zero(self, loss_fn):
         assert grad_check(loss_fn, [Tensor([5.0])], eps=1e-5).max_relative_error == 0.0
 
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, True])
+    def test_max_coords_must_be_a_positive_int(self, cap):
+        with pytest.raises(ConfigError, match=f"max_coords_per_tensor must be an int >= 1, "
+                                              f"got {cap!r}"):
+            grad_check(lambda g: Tensor(1.0), [Tensor([1.0, 2.0])], max_coords_per_tensor=cap)
+        res = grad_check(lambda g: Tensor(1.0), [Tensor([1.0, 2.0])],
+                         max_coords_per_tensor=np.int64(1))
+        assert res.checked == 1
+
     def test_eps_out_of_range(self):
         with pytest.raises(ConfigError):
             grad_check(lambda g: Tensor(1.0), [Tensor(1.0)], eps=1e-2)

@@ -1,6 +1,7 @@
 """Batching, SGD updates, determinism, and loss descent on a fixed batch."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from siamverify import (AugmentConfig, Graph, LossConfig, NetworkParams, Network
                         TrainConfig, Tensor, build_network, freeze_prefix, grad_check, load_params,
                         make_batches, sgd_step, train)
 from siamverify.trainer import NO_AUGMENT, apply_settings, pair_batch_loss, settings_of
-from siamverify.dataset import ImageRecord, PairRecord
-from siamverify.errors import ConfigError, NumericError
+from siamverify.dataset import ImageRecord, PairRecord, load_image
+from siamverify.errors import ConfigError, FormatError, NumericError
 from imagefiles import write_pgm
 from sums import assert_within_summation_bound
 
@@ -30,6 +31,17 @@ def make_pairs(tmp_path, n_pos=5, n_neg=5, seed=0):
             recs.append(ImageRecord("id01", str(p), "genuine"))
         pairs.append(PairRecord(recs[0], recs[1], 1 if i < n_pos else 0, "overall"))
     return pairs
+
+
+def crop_records(tmp_path):
+    """A whole image and its crop under one (identity, path), and a third image."""
+    rng = np.random.default_rng(3)
+    big, small = tmp_path / "big.pgm", tmp_path / "small.pgm"
+    write_pgm(big, rng.random((1, 48, 48)))
+    write_pgm(small, rng.random((1, 32, 32)))
+    return (ImageRecord("id01", str(big), "genuine"),
+            ImageRecord("id01", str(big), "disguised", bbox=(6, 10, 30, 28)),
+            ImageRecord("id01", str(small), "impostor"))
 
 
 def fast_cfg(**kw):
@@ -93,13 +105,15 @@ class TestSgdStep:
 
 
     def test_nonfinite_grad_leaves_every_tensor_unchanged(self):
-        params = build_network(TINY, seed=0)
-        grads = {t: np.ones_like(t.data) for t in params.tensors}
-        grads[params.tensors[3]][0] = np.nan
-        before = [t.data.copy() for t in params.tensors]
-        with pytest.raises(NumericError, match="tensor 3"):
-            sgd_step(params, grads, lr=1e-3)
-        assert all(t.data.tobytes() == b.tobytes() for t, b in zip(params.tensors, before))
+        # a NaN gradient, and a finite one whose update 1e308 * 10 overflows
+        for index, bad, lr in [(3, np.nan, 1e-3), (14, 10.0, 1e308)]:
+            params = build_network(TINY, seed=0)
+            grads = {t: np.ones_like(t.data) for t in params.tensors}
+            grads[params.tensors[index]][0] = bad
+            before = [t.data.copy() for t in params.tensors]
+            with pytest.raises(NumericError, match=f"tensor {index}"):
+                sgd_step(params, grads, lr=lr)
+            assert all(t.data.tobytes() == b.tobytes() for t, b in zip(params.tensors, before))
 
 
     @pytest.mark.parametrize("shape", [(300_001,), (70, 2500), (40, 40, 11, 11)])
@@ -400,6 +414,20 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(build_network(TINY, seed=0), [], fast_cfg())
 
+    def test_unreadable_image_fails_before_the_first_step(self, tmp_path):
+        pairs = make_pairs(tmp_path, 2, 2)
+        cfg = fast_cfg(epochs=1, batch_size=1)
+        epoch_seed = int(np.random.SeedSequence((cfg.seed, 0)).generate_state(1)[0])
+        (last, pair), = make_batches(pairs, 1, epoch_seed)[-1]
+        truncated = tmp_path / "truncated.pgm"
+        truncated.write_bytes(b"P5\n32 32\n255\n" + bytes(100))
+        pairs[last] = replace(pair, b=replace(pair.b, path=str(truncated)))
+        params = build_network(TINY, seed=0)
+        before = [t.data.tobytes() for t in params.tensors]
+        with pytest.raises(FormatError, match="truncated PNM payload"):
+            train(params, pairs, cfg)
+        assert [t.data.tobytes() for t in params.tensors] == before
+
     def test_numeric_abort_keeps_checkpoint(self, tmp_path):
         pairs = make_pairs(tmp_path, 2, 2)
         params = build_network(TINY, seed=0)
@@ -481,6 +509,46 @@ class TestTrainAppliesConfig:
         cfg = fast_cfg(epochs=2, class_balance=False, loss=LossConfig(w_pos=3.0, w_neg=0.5))
         seen = self._loss_weights(tmp_path, monkeypatch, cfg)
         assert seen == [(3.0, 0.5)] * 6
+
+    def test_each_crop_gets_its_own_pixels(self, tmp_path, monkeypatch):
+        from siamverify import trainer
+
+        whole, crop, other = crop_records(tmp_path)
+        pairs = [PairRecord(whole, crop, 1, "overall"), PairRecord(crop, other, 0, "overall"),
+                 PairRecord(other, whole, 0, "overall")]
+        real, fed = trainer.pair_batch_loss, []
+
+        def capture(params, batch, loss_cfg, g=None):
+            fed.extend((xa.data.tobytes(), xb.data.tobytes(), y) for xa, xb, y in batch)
+            return real(params, batch, loss_cfg, g)
+
+        monkeypatch.setattr(trainer, "pair_batch_loss", capture)
+        train(build_network(TINY, seed=0), pairs, fast_cfg(epochs=1, batch_size=2))
+        shape = TINY.input_shape
+        want = [(load_image(p.a, shape).data.tobytes(), load_image(p.b, shape).data.tobytes(),
+                 p.y) for p in pairs]
+        assert sorted(fed) == sorted(want)
+
+    def test_each_image_loaded_once(self, tmp_path, monkeypatch):
+        # one file and crop, filed under two identities, is one image
+        from siamverify import trainer
+
+        _, crop, other = crop_records(tmp_path)
+        twin = replace(crop, identity="id02")
+        pairs = [PairRecord(crop, other, 0, "overall"), PairRecord(twin, other, 0, "overall"),
+                 PairRecord(other, twin, 1, "overall")]
+        real, loaded = trainer.load_image, []
+
+        def counting(rec, target):
+            loaded.append((rec.path, rec.bbox))
+            return real(rec, target)
+
+        monkeypatch.setattr(trainer, "load_image", counting)
+        train(build_network(TINY, seed=0), pairs, fast_cfg(epochs=2, batch_size=1))
+        assert loaded == [(crop.path, crop.bbox), (other.path, None)]
+        loaded.clear()
+        train(build_network(TINY, seed=0), pairs, fast_cfg(epochs=0))
+        assert loaded == []  # no step, so no image is needed
 
     def test_zero_epochs_single_class_raises_nothing(self, tmp_path):
         _, log, _ = train(build_network(TINY, seed=0), make_pairs(tmp_path, 2, 0),
