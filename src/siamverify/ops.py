@@ -42,6 +42,7 @@ from .errors import ShapeError
 from .tensor import Graph, Tensor
 
 _COLS_BYTES = 1 << 24  # im2col band budget of conv2d's forward
+_NEGATIVE_ZERO = np.iinfo(np.int64).min  # the bits of -0.0 read as an int64
 
 
 def _rec(g: Graph | None, out: Tensor, inputs, backward_fn, pattern=None) -> Tensor:
@@ -99,9 +100,20 @@ def neg(g, a) -> Tensor:
 
 
 def relu(g, a) -> Tensor:
-    mask = a.data > 0  # subgradient 0 at the kink
-    out = Tensor(np.where(mask, a.data, 0.0))
-    return _rec(g, out, (a,), lambda go: (go * mask,), mask)
+    """max(a, 0) with the bits of ``np.where(a > 0, a, 0.0)``: a NaN or -0.0 gives +0.0.
+
+    Adding +0.0 turns -0.0 into +0.0 and a signalling NaN into a quiet one
+    (``np.fmax`` alone can pass a signalling NaN through as a quiet NaN);
+    ``np.fmax`` then takes the 0.0 for every NaN and keeps infinities and
+    subnormals.  The mask ``a > 0`` (subgradient 0 at the kink) is built only
+    when the tape records this call (``g`` keeps ``a``).
+    """
+    out = np.empty(a.shape)
+    with np.errstate(invalid="ignore"):  # a signalling NaN
+        np.add(a.data, 0.0, out=out)
+    np.fmax(out, 0.0, out=out)
+    mask = a.data > 0 if g is not None and g.keeps(a) else None
+    return _rec(g, Tensor(out), (a,), lambda go: (go * mask,), mask)
 
 
 def sigmoid(g, a) -> Tensor:
@@ -275,10 +287,19 @@ def conv2d(g, x, kernels, bias) -> Tensor:
 def maxpool2(g, x) -> Tensor:
     """2x2 max pooling with stride 2; spatial extents must be even.
 
-    The kink pattern is the argmax, 0..3 in window order (row-major within
-    the 2x2 window); the first maximum wins and a NaN counts as the maximum,
-    as ``np.argmax`` has it.  The tape keeps only that argmax, and it is built
-    only when the tape records this call (``g`` keeps ``x``).
+    Each output is, bit for bit, its window's first maximum, and a NaN counts
+    as the maximum: the window's first NaN, payload included.  That is the
+    element ``np.argmax`` picks in window order (row-major within the 2x2
+    window), and the kink pattern is that argmax, 0..3.  The forward takes
+    ``np.maximum`` over the four strided window views in window order, in
+    place in one array; ``np.maximum`` returns the first of two NaNs.  For a
+    tie of zeros the first zero's sign wins, but numpy's SIMD
+    ``maximum(-0.0, 0.0)`` gives +0.0; so when ``x`` holds a -0.0 the output
+    is gathered from the views by the argmax instead.  The argmax is built
+    only for that or when the tape records this call (``g`` keeps ``x``), and
+    the tape keeps only it.  Backward masks ``go``'s bits into each view's
+    quadrant of ``dx``: ``go`` where the argmax picks the view, NaN and -0.0
+    included, and +0.0 elsewhere.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"maxpool2 expects CHW input, got {x.shape}")
@@ -287,18 +308,25 @@ def maxpool2(g, x) -> Tensor:
         raise ShapeError(f"maxpool2 requires even spatial extents, got {h}x{w}")
     offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
     views = [x.data[:, i::2, j::2] for i, j in offsets]
-    out = views[0].copy()
-    idx = np.zeros(out.shape, dtype=np.intp) if g is not None and g.keeps(x) else None
-    for k, v in enumerate(views[1:], 1):
-        take = ~(v <= out) & (out == out)  # v > out, or v is the first NaN
-        np.copyto(out, v, where=take)
-        if idx is not None:
-            np.copyto(idx, k, where=take)
+    out = np.maximum(views[0], views[1])
+    for v in views[2:]:
+        np.maximum(out, v, out=out)
+    recorded = g is not None and g.keeps(x)
+    signed_zero = x.data.view(np.int64).min(initial=0) == _NEGATIVE_ZERO
+    idx = None
+    if recorded or signed_zero:
+        # 1 where view k holds neither the maximum nor a NaN; the argmax is the first 0
+        m0, m1, m2 = (((v != out) & (v == v)).view(np.uint8) for v in views[:3])
+        idx = (m0 * (1 + m1 * (1 + m2))).astype(np.intp)
+        if signed_zero:
+            out = np.choose(idx, views)
 
     def backward(go):
-        dx = np.zeros((c, h, w))
-        for k, (i, j) in enumerate(offsets):
-            dx[:, i::2, j::2] = np.where(idx == k, go, 0.0)
+        dx = np.empty((c, h, w))
+        bits = go.view(np.uint64)
+        for k, (i, j) in enumerate(offsets):  # all ones where the argmax is k, else zeros
+            np.bitwise_and(bits, np.negative(idx == k, dtype=np.uint64),
+                           out=dx[:, i::2, j::2].view(np.uint64))
         return (dx,)
 
     return _rec(g, Tensor(out), (x,), backward, idx)

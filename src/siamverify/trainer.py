@@ -8,6 +8,7 @@ a fixed (seed, config, data) triple.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -64,6 +65,7 @@ NO_AUGMENT = AugmentConfig(gaussian_sigma=0.0, flip_prob=0.0, max_rotation_deg=0
                            max_translate_px=0)
 _LOSS_FIELDS = {f.name for f in fields(LossConfig)}
 _STEP_BYTES = 1 << 20  # the largest block of rows sgd_step updates at once
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
 
 
 def apply_settings(cfg: TrainConfig, settings: dict) -> TrainConfig:
@@ -190,7 +192,13 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
 
     Applies ``cfg.freeze_k`` to ``params`` first, and, with ``class_balance``,
     the pair list's inverse-frequency weights to ``cfg.loss``.
+
+    Under glibc it first sets malloc, for the whole process and for good, to
+    keep freed memory for reuse (``_keep_freed_memory``): with glibc's
+    defaults each step gives its arrays back to the kernel and faults them in
+    again on the next step.  No number changes; elsewhere nothing is set.
     """
+    _keep_freed_memory()
     if not pairs:
         raise ConfigError("no training pairs")
     loss_cfg = cfg.loss
@@ -240,6 +248,26 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
     if out_dir is not None:
         checkpoints.append(_checkpoint(params, out_dir, "final"))
     return params, log, checkpoints
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep a step's freed arrays for the next step; elsewhere do nothing.
+
+    Arrays under 32 MiB come from the heap, not from their own mappings, and
+    the heap keeps up to 64 MiB free at its top before it trims.  32 MiB is
+    the ceiling of glibc's dynamic mmap threshold on 64-bit hosts, and 64 MiB
+    glibc's own twice that.  Both are set: setting the trim threshold alone
+    turns the dynamic mmap threshold off, so every array over 128 KiB would be
+    mapped and faulted in anew, several times the faults of glibc's defaults.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no process symbols to open, or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _checkpoint(params, out_dir, tag) -> str:

@@ -410,6 +410,132 @@ class TestPrimitives:
             assert np.all(np.isfinite(out.data))
 
 
+# float64 bit patterns that elementwise kernels may treat differently from
+# np.where and a sequential scan: NaN payloads of both signs, quiet and
+# signalling, signed zeros, infinities, subnormals and a few normal values
+_ADVERSARIAL_BITS = np.array([
+    0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000123,  # quiet NaNs
+    0x7FF0000000000005, 0xFFF0000000000007,  # signalling NaNs
+    0x0000000000000000, 0x8000000000000000,  # +0.0, -0.0
+    0x7FF0000000000000, 0xFFF0000000000000,  # +inf, -inf
+    0x0000000000000001, 0x8000000000000001, 0x000FFFFFFFFFFFFF,  # subnormals
+    0x0010000000000000, 0x3FF0000000000000, 0xBFF0000000000000, 0x4004000000000000,
+], dtype=np.uint64)
+
+
+def _adversarial(rng, shape, values=_ADVERSARIAL_BITS):
+    """An array of ``shape`` drawn from ``values`` (float64 bits), so elements tie often."""
+    return rng.choice(values, size=shape).view(np.float64)
+
+
+def _grad_with_nan_and_negative_zero(rng, shape):
+    go = rng.standard_normal(shape)
+    go[rng.random(shape) < 0.2] = np.nan
+    go[rng.random(shape) < 0.2] = -0.0
+    return go
+
+
+def _relu_oracle(x):
+    """The earlier relu: (output, mask)."""
+    mask = x > 0
+    return np.where(mask, x, 0.0), mask
+
+
+def _maxpool_oracle(x):
+    """The earlier maxpool2, a sequential scan of the window: (output, argmax as intp)."""
+    views = [x[:, i::2, j::2] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    out = views[0].copy()
+    idx = np.zeros(out.shape, dtype=np.intp)
+    for k, v in enumerate(views[1:], 1):
+        take = ~(v <= out) & (out == out)  # v > out, or v is the first NaN
+        np.copyto(out, v, where=take)
+        np.copyto(idx, k, where=take)
+    return out, idx
+
+
+def _maxpool_backward_oracle(go, idx):
+    c, h, w = go.shape
+    dx = np.zeros((c, 2 * h, 2 * w))
+    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        dx[:, i::2, j::2] = np.where(idx == k, go, 0.0)
+    return dx
+
+
+class TestExactKernels:
+    """relu and maxpool2 have the bits of the earlier kernels kept above as oracles."""
+
+    @pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "unrecorded"])
+    @pytest.mark.parametrize("shape", [(1,), (3,), (7,), (17,), (4, 9), (3, 8, 10), (16, 16, 16)])
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    def test_relu_matches_oracle(self, shape, strided, recorded):
+        rng = np.random.default_rng(sum(shape))
+        xv = _adversarial(rng, shape + (2,))[..., 0] if strided else _adversarial(rng, shape)
+        x = Tensor(xv)
+        g = Graph([x] if recorded else [Tensor(0.0)])
+        out = ops.relu(g, x)
+        want, mask = _relu_oracle(xv)
+        assert out.data.tobytes() == want.tobytes()
+        assert len(g) == recorded
+        if recorded:
+            (_, _, backward_fn, pattern), = g.nodes
+            assert pattern.tobytes() == mask.tobytes()
+            go = _grad_with_nan_and_negative_zero(rng, shape)
+            dx, = backward_fn(go)
+            assert dx.tobytes() == (go * mask).tobytes()
+
+    def test_unrecorded_relu_builds_no_mask(self):
+        x = Tensor(np.random.default_rng(5).standard_normal((64, 32, 32)))
+        recorded = ops.relu(Graph([x]), x)
+        unkept = Graph([Tensor(0.0)])
+        for g in (None, unkept):
+            tracemalloc.start()
+            try:
+                out = ops.relu(g, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.data.tobytes() == recorded.data.tobytes()
+            # the output alone; a mask would add another x.data.size bytes
+            assert peak < out.data.nbytes + x.data.size // 2
+        assert len(unkept) == 0
+
+    @pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "unrecorded"])
+    @pytest.mark.parametrize("negative_zero", [True, False], ids=["with-0", "without-0"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_maxpool_matches_oracle(self, seed, negative_zero, recorded):
+        rng = np.random.default_rng(seed)
+        c, h, w = int(rng.integers(1, 6)), 2 * int(rng.integers(1, 9)), 2 * int(rng.integers(1, 9))
+        values = _ADVERSARIAL_BITS if negative_zero else \
+            _ADVERSARIAL_BITS[_ADVERSARIAL_BITS != 0x8000000000000000]
+        xv = _adversarial(rng, (c, h, w), values)
+        x = Tensor(xv)
+        g = Graph([x] if recorded else [Tensor(0.0)])
+        out = ops.maxpool2(g, x)
+        want, idx = _maxpool_oracle(xv)
+        assert out.data.tobytes() == want.tobytes()
+        assert len(g) == recorded
+        if recorded:
+            (_, _, backward_fn, pattern), = g.nodes
+            assert pattern.dtype == np.intp and pattern.tobytes() == idx.tobytes()
+            go = _grad_with_nan_and_negative_zero(rng, out.shape)
+            dx, = backward_fn(go)
+            assert dx.tobytes() == _maxpool_backward_oracle(go, idx).tobytes()
+
+    @pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "unrecorded"])
+    def test_maxpool_negative_zero_first_tie_keeps_its_sign(self, recorded):
+        # windows whose maximum is a tie of zeros led by -0.0, next to windows led
+        # by +0.0; numpy's SIMD maximum(-0.0, 0.0) is +0.0, so np.maximum alone fails
+        windows = [(-0.0, 0.0, 0.0, 0.0), (-0.0, -0.0, 0.0, -0.0), (0.0, -0.0, -0.0, 0.0),
+                   (-1.0, -0.0, 0.0, 0.0), (-0.0, -2.0, 0.0, -0.0)]
+        win = np.array(windows * 8).reshape(2, 4, 5, 2, 2)  # (c, h/2, w/2, 2, 2)
+        xv = win.transpose(0, 1, 3, 2, 4).reshape(2, 8, 10)
+        x = Tensor(xv)
+        out = ops.maxpool2(Graph([x]) if recorded else None, x)
+        want, _ = _maxpool_oracle(xv)
+        assert np.signbit(want).any() and not np.signbit(want).all()
+        assert out.data.tobytes() == want.tobytes()
+
+
 class TestBackward:
     def test_square_gradient(self):
         x = Tensor(3.0)
