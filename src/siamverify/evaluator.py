@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -103,8 +104,7 @@ def score_pairs(params: NetworkParams, pairs: list[PairRecord],
         raise ConfigError("no pairs to score")
     distinct, rows = distinct_images(pairs)
     spec, target = params.spec, params.spec.input_shape
-    _, h, w = target
-    largest = max(out_c * (h >> i) * (w >> i) for i, (out_c, _) in enumerate(spec.stages))
+    largest = max(math.prod(layer.out) for layer in spec.layers if layer.kind == "conv")
     per_stack = max(1, _STACK_BYTES // (8 * largest))  # float64 conv outputs
     emb = np.empty((len(distinct), spec.fc[1]))
     for s in range(0, len(distinct), per_stack):

@@ -15,6 +15,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,16 @@ from .tensor import Graph, Tensor
 
 CHECKPOINT_MAGIC = b"DGNETv1"
 CHECKPOINT_VERSION = 1
+
+
+@dataclass(frozen=True)
+class Layer:
+    """One weighted layer; its bias has shape ``(weight[0],)``."""
+
+    kind: str  # "conv", "fc" or "head"
+    weight: tuple[int, ...]
+    out: tuple[int, ...]  # for one image or one pair, before any pool
+    pool: bool = False  # a maxpool2 follows
 
 
 @dataclass(frozen=True)
@@ -49,42 +60,31 @@ class NetworkSpec:
             raise ConfigError(f"fc widths must be [fc1, fc2] with fc2 >= 2, got {self.fc}")
         if not self.head or self.head[-1] != 1:
             raise ConfigError(f"head widths must end in 1, got {self.head}")
-        c, h, w = self.input_shape
-        for _ in self.stages:
-            if h % 2 or w % 2:
-                raise ConfigError(f"spatial extent {h}x{w} not divisible by maxpool2 stages")
-            h, w = h // 2, w // 2
-
-    @property
-    def conv_layer_count(self) -> int:
-        return sum(n for _, n in self.stages)
+        _, h, w = self.input_shape
+        if h % (1 << len(self.stages)) or w % (1 << len(self.stages)):
+            raise ConfigError(f"spatial extent {h}x{w} not divisible by maxpool2 stages")
 
     @property
     def weighted_layer_count(self) -> int:
-        return self.conv_layer_count + len(self.fc) + len(self.head)
+        """``len(layers)``, counted without building a row: ``load_params``' payload bound."""
+        return sum(n for _, n in self.stages) + len(self.fc) + len(self.head)
 
-    def flat_size(self) -> int:
-        _, h, w = self.input_shape
-        k = len(self.stages)  # each stage ends in a 2x2 pool
-        return self.stages[-1][0] * (h >> k) * (w >> k)
-
-    def layer_shapes(self) -> list[tuple[str, tuple, tuple]]:
-        """(kind, weight shape, bias shape) per weighted layer, in order."""
-        layers = []
-        c_in = self.input_shape[0]
+    @cached_property
+    def layers(self) -> tuple[Layer, ...]:
+        """One row per weighted layer; row i owns ``tensors[2i]`` and ``tensors[2i + 1]``."""
+        c, h, w = self.input_shape
+        rows = []
         for out_c, n_convs in self.stages:
-            for _ in range(n_convs):
-                layers.append(("conv", (out_c, c_in, 3, 3), (out_c,)))
-                c_in = out_c
-        n_in = self.flat_size()
-        for width in self.fc:
-            layers.append(("fc", (width, n_in), (width,)))
-            n_in = width
-        n_in = self.fc[1]  # head consumes |embA - embB|
-        for width in self.head:
-            layers.append(("head", (width, n_in), (width,)))
-            n_in = width
-        return layers
+            for j in range(n_convs):
+                rows.append(Layer("conv", (out_c, c, 3, 3), (out_c, h, w), pool=j == n_convs - 1))
+                c = out_c
+            h, w = h // 2, w // 2
+        n_in = c * h * w
+        for kind, widths in (("fc", self.fc), ("head", self.head)):
+            for width in widths:  # the head reads |embA - embB|, fc2 wide
+                rows.append(Layer(kind, (width, n_in), (width,)))
+                n_in = width
+        return tuple(rows)
 
     def to_dict(self) -> dict:
         return {
@@ -151,20 +151,19 @@ def build_network(spec: NetworkSpec, seed: int) -> NetworkParams:
         raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     tensors = []
-    for _, w_shape, b_shape in spec.layer_shapes():
-        fan_in = int(np.prod(w_shape[1:]))
-        limit = np.sqrt(6.0 / fan_in)
-        tensors.append(Tensor(rng.uniform(-limit, limit, size=w_shape)))
-        tensors.append(Tensor(np.zeros(b_shape)))
+    for layer in spec.layers:
+        limit = np.sqrt(6.0 / math.prod(layer.weight[1:]))
+        tensors.append(Tensor(rng.uniform(-limit, limit, size=layer.weight)))
+        tensors.append(Tensor(np.zeros(layer.weight[:1])))
     return NetworkParams(spec=spec, tensors=tensors, seed=int(seed))  # a JSON int in checkpoints
 
 
 def freeze_prefix(params: NetworkParams, k: int) -> NetworkParams:
     """Mark the weights and biases of the first k conv layers frozen."""
-    n_conv = params.spec.conv_layer_count
-    if k < 0 or k > n_conv:
-        raise ConfigError(f"freeze prefix {k} exceeds {n_conv} conv layers")
-    params.freeze = [i < 2 * k for i in range(len(params.tensors))]
+    n_conv = sum(layer.kind == "conv" for layer in params.spec.layers)
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= n_conv:
+        raise ConfigError(f"freeze prefix must be an int from 0 to {n_conv} convs, got {k!r}")
+    params.freeze = [i < 2 * int(k) for i in range(len(params.tensors))]  # JSON bools
     return params
 
 
@@ -182,18 +181,15 @@ def forward_embedding(params: NetworkParams, x: Tensor, g: Graph | None = None) 
     if x.shape[-3:] != shape or x.data.ndim not in (3, 4):
         raise ShapeError(f"input shape {x.shape} is not spec {shape} or a stack of it")
     lead = x.shape[:-3]  # () for one image, (n,) for a stack
-    t = params.tensors  # layer i's weight and bias are t[2*i], t[2*i + 1]
     h = ops.reshape(g, x, (-1, *shape[1:])) if lead else x
-    i = 0
-    for _, n_convs in params.spec.stages:
-        for _ in range(n_convs):
-            h = ops.relu(g, ops.conv2d(g, h, t[2 * i], t[2 * i + 1]))
-            i += 1
-        h = ops.maxpool2(g, h)
-    h = ops.reshape(g, h, (*lead, params.spec.flat_size()))
-    for _ in params.spec.fc:
-        h = ops.relu(g, ops.linear(g, h, t[2 * i], t[2 * i + 1]))
-        i += 1
+    for layer, w, b in zip(params.spec.layers, params.tensors[::2], params.tensors[1::2]):
+        if layer.kind == "head":
+            break
+        if layer.kind == "fc" and h.data.ndim == 3:  # fc1 reads the last pool's output flat
+            h = ops.reshape(g, h, (*lead, layer.weight[1]))
+        h = ops.relu(g, (ops.conv2d if layer.kind == "conv" else ops.linear)(g, h, w, b))
+        if layer.pool:
+            h = ops.maxpool2(g, h)
     return h
 
 
@@ -269,8 +265,8 @@ def load_params(path, expect_spec: NetworkSpec | None = None) -> NetworkParams:
         if 16 * spec.weighted_layer_count > left:  # 2 float64s a layer, at least
             raise FormatError("truncated checkpoint payload")
         tensors = []
-        for _, w_shape, b_shape in spec.layer_shapes():
-            for shape in (w_shape, b_shape):
+        for layer in spec.layers:
+            for shape in (layer.weight, layer.weight[:1]):
                 n = math.prod(shape) * 8  # a Python int: no int64 wrap on a huge spec
                 if n > left:  # checked before the array is allocated
                     raise FormatError("truncated checkpoint payload")

@@ -317,7 +317,7 @@ def maxpool2(g, x) -> Tensor:
     if recorded or signed_zero:
         # 1 where view k holds neither the maximum nor a NaN; the argmax is the first 0
         m0, m1, m2 = (((v != out) & (v == v)).view(np.uint8) for v in views[:3])
-        idx = (m0 * (1 + m1 * (1 + m2))).astype(np.intp)
+        idx = m0 * (1 + m1 * (1 + m2))  # uint8, 0..3
         if signed_zero:
             out = np.choose(idx, views)
 

@@ -357,7 +357,7 @@ class TestScorePairs:
 
     def test_zero_embeddings_score_cosine_zero(self, tmp_path):
         params = build_network(NetworkSpec.tiny(), seed=0)
-        fc2 = 2 * (params.spec.conv_layer_count + 1)  # fc2's weight, then its bias
+        fc2 = 2 * (len(params.spec.layers) - len(params.spec.head) - 1)  # fc2's weight, bias
         for t in params.tensors[fc2:fc2 + 2]:
             t.data[...] = 0.0
         s = score_pairs(params, self.block_pairs(tmp_path, evaluator._BLOCK_PAIRS + 1),

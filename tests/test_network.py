@@ -11,6 +11,7 @@ from siamverify import (DEFAULT_FREEZE, LossConfig, NetworkSpec, Tensor, build_n
                         forward_embedding, forward_head, freeze_prefix, grad_check,
                         load_params, ops, save_params, siamese_forward)
 from siamverify.errors import ConfigError, FormatError, ShapeError
+from siamverify.network import Layer
 from siamverify.trainer import pair_batch_loss
 
 TINY = NetworkSpec.tiny()
@@ -20,25 +21,39 @@ def rand_input(seed, spec=TINY):
     return Tensor(np.random.default_rng(seed).random(spec.input_shape))
 
 
+def pooled_rows(spec):
+    """Each stage's last conv, counted from the stage list: the rows a maxpool2 follows."""
+    return [int(i) - 1 for i in np.cumsum([n for _, n in spec.stages])]
+
+
 class TestSpec:
     def test_tiny_counts(self):
-        assert TINY.conv_layer_count == 4
-        assert TINY.weighted_layer_count == 8
-        assert TINY.flat_size() == 16 * 8 * 8
+        layers = TINY.layers
+        assert [layer.kind for layer in layers] == ["conv"] * 4 + ["fc"] * 2 + ["head"] * 2
+        assert TINY.weighted_layer_count == len(layers) == 8
+        assert [layer.out for layer in layers] == [
+            (8, 32, 32), (8, 32, 32), (16, 16, 16), (16, 16, 16), (64,), (32,), (16,), (1,)]
+        assert [i for i, layer in enumerate(layers) if layer.pool] == pooled_rows(TINY) == [1, 3]
+        assert layers[4].weight[1] == 16 * 8 * 8  # fc1 reads the last pool's output flat
 
     def test_vggface16_counts(self):
         spec = NetworkSpec.vggface16()
-        assert spec.conv_layer_count == 13
-        assert spec.weighted_layer_count == 16
-        assert spec.flat_size() == 512 * 7 * 7
+        assert sum(layer.kind == "conv" for layer in spec.layers) == 13
+        assert spec.weighted_layer_count == len(spec.layers) == 16
+        assert spec.layers[13].weight[1] == 512 * 7 * 7
+        assert [i for i, layer in enumerate(spec.layers) if layer.pool] == pooled_rows(spec) \
+            == [1, 3, 6, 9, 12]
 
     def test_vggface16_layer_shapes(self):
-        shapes = NetworkSpec.vggface16().layer_shapes()
-        assert shapes[0] == ("conv", (64, 3, 3, 3), (64,))
-        assert shapes[12] == ("conv", (512, 512, 3, 3), (512,))
-        assert shapes[13] == ("fc", (4096, 512 * 7 * 7), (4096,))
-        assert shapes[14] == ("fc", (4096, 4096), (4096,))
-        assert shapes[15] == ("head", (1, 4096), (1,))
+        layers = NetworkSpec.vggface16().layers
+        assert layers[0] == Layer("conv", (64, 3, 3, 3), (64, 224, 224), False)
+        assert layers[1] == Layer("conv", (64, 64, 3, 3), (64, 224, 224), True)
+        assert layers[2] == Layer("conv", (128, 64, 3, 3), (128, 112, 112), False)
+        assert layers[11] == Layer("conv", (512, 512, 3, 3), (512, 14, 14), False)
+        assert layers[12] == Layer("conv", (512, 512, 3, 3), (512, 14, 14), True)
+        assert layers[13] == Layer("fc", (4096, 512 * 7 * 7), (4096,), False)
+        assert layers[14] == Layer("fc", (4096, 4096), (4096,), False)
+        assert layers[15] == Layer("head", (1, 4096), (1,), False)
 
     def test_default_freeze(self):
         assert DEFAULT_FREEZE == {"tiny": 1, "vggface16": 4}
@@ -85,11 +100,9 @@ class TestSpec:
 class TestBuild:
     def test_tensor_count_and_shapes(self):
         params = build_network(TINY, seed=0)
-        shapes = TINY.layer_shapes()
-        assert len(params.tensors) == 2 * len(shapes)
-        layers = zip(params.tensors[::2], params.tensors[1::2])
-        for (_, w_shape, b_shape), (w, b) in zip(shapes, layers):
-            assert w.shape == w_shape and b.shape == b_shape
+        assert len(params.tensors) == 2 * len(TINY.layers)
+        for layer, w, b in zip(TINY.layers, params.tensors[::2], params.tensors[1::2]):
+            assert w.shape == layer.weight and b.shape == (layer.weight[0],)
             assert np.all(b.data == 0.0)
 
     def test_tiny_param_count_closed_form(self):
@@ -120,9 +133,8 @@ class TestBuild:
 
     def test_he_uniform_bounds(self):
         params = build_network(TINY, seed=1)
-        layers = zip(params.tensors[::2], params.tensors[1::2])
-        for (_, w_shape, _), (w, _) in zip(TINY.layer_shapes(), layers):
-            limit = np.sqrt(6.0 / np.prod(w_shape[1:]))
+        for layer, w in zip(TINY.layers, params.tensors[::2]):
+            limit = np.sqrt(6.0 / np.prod(layer.weight[1:]))
             assert np.all(np.abs(w.data) <= limit)
 
 
@@ -138,9 +150,8 @@ class TestFreeze:
 
     def test_vggface_default_prefix_is_eight_tensors(self):
         spec = NetworkSpec.vggface16()
-        shapes = spec.layer_shapes()
         k = DEFAULT_FREEZE["vggface16"]
-        assert all(kind == "conv" for kind, _, _ in shapes[:k])
+        assert all(layer.kind == "conv" for layer in spec.layers[:k])
         assert 2 * k == 8
 
     def test_out_of_range(self):
@@ -148,6 +159,11 @@ class TestFreeze:
             freeze_prefix(build_network(TINY, seed=0), 5)
         with pytest.raises(ConfigError):
             freeze_prefix(build_network(TINY, seed=0), -1)
+
+    @pytest.mark.parametrize("k", [1.5, True, "1"], ids=["float", "bool", "string"])
+    def test_k_must_be_an_int(self, k):
+        with pytest.raises(ConfigError, match="freeze prefix must be an int"):
+            freeze_prefix(build_network(TINY, seed=0), k)
 
 
 class TestForward:
@@ -192,11 +208,11 @@ class TestPositionalWalk:
 
     @staticmethod
     def reference(spec, params, x_a, x_b):
-        """Plain-numpy siamese forward that walks ``layer_shapes()`` in order."""
+        """Plain-numpy siamese forward that walks ``spec.layers`` in order."""
         arrays = iter(t.data for t in params.tensors)
         layers = {"conv": [], "fc": [], "head": []}
-        for kind, _, _ in spec.layer_shapes():
-            layers[kind].append((next(arrays), next(arrays)))
+        for layer in spec.layers:
+            layers[layer.kind].append((next(arrays), next(arrays)))
 
         def conv3x3(x, w, b):
             c, h, wd = x.shape
@@ -444,22 +460,29 @@ class TestCheckpointHeader:
             tmp_path, lambda h: {k: v for k, v in h.items() if k != "seed"}), expect_spec=TINY)
         assert params.seed == 0
 
-    @pytest.mark.parametrize("stages,input_shape", [
-        ([[8, "2"]], [1, 32, 32]), ([[8, 2.5]], [1, 32, 32]), ([[8]], [1, 32, 32]),
-        ([[-8, 2]], [1, 32, 32]), ([[8, 0]], [1, 32, 32]),
+    @pytest.mark.parametrize("stages,input_shape,table", [
+        ([[8, "2"]], [1, 32, 32], True), ([[8, 2.5]], [1, 32, 32], True),
+        ([[8]], [1, 32, 32], True), ([[-8, 2]], [1, 32, 32], True), ([[8, 0]], [1, 32, 32], True),
         # 2**33 * 2**31 * 3 * 3 elements wrap to 0 in int64
-        ([[2 ** 33, 1]], [2 ** 31, 2, 2]),
+        ([[2 ** 33, 1]], [2 ** 31, 2, 2], True),
         # 2**40 conv layers: rejected from the payload size, not by listing them
-        ([[8, 2 ** 40]], [1, 32, 32]),
+        ([[8, 2 ** 40]], [1, 32, 32], False),
     ], ids=["string", "float", "short", "negative", "zero", "int64-wrap", "huge-layer-count"])
-    def test_malformed_topology_is_format_error(self, tmp_path, stages, input_shape):
+    def test_malformed_topology_is_format_error(self, tmp_path, monkeypatch, stages,
+                                                input_shape, table):
         def mutate(h):
             spec = {**h["spec"], "stages": stages, "input_shape": input_shape}
             blob = json.dumps(spec, sort_keys=True).encode()
             return {**h, "spec": spec, "fingerprint": hashlib.sha256(blob).hexdigest()}
 
+        def unbuilt(spec):
+            raise AssertionError(f"layer table of {spec.weighted_layer_count} rows built")
+
+        path = _with_header(tmp_path, mutate)
+        if not table:  # the payload bound must come first: the table would exhaust memory
+            monkeypatch.setattr(NetworkSpec, "layers", property(unbuilt))
         with pytest.raises(FormatError):
-            load_params(_with_header(tmp_path, mutate))
+            load_params(path)
 
     def test_deeply_nested_header_is_format_error(self, tmp_path):
         import struct

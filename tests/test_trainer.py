@@ -532,6 +532,13 @@ class TestTrainAppliesConfig:
         assert all(t.data.tobytes() == b.tobytes() for t, b in zip(params.tensors[:4], before))
         assert not np.array_equal(params.tensors[4].data, before[4])
 
+    def test_numpy_int_freeze_k_checkpoints_a_json_mask(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        _, _, checkpoints = train(build_network(TINY, seed=0), make_pairs(tmp_path, 3, 3),
+                                  fast_cfg(freeze_k=np.int64(1)), out_dir=out)
+        assert load_params(checkpoints[-1]).freeze == [True, True] + [False] * 14
+
     def test_freeze_k_none_keeps_mask(self, tmp_path):
         params = freeze_prefix(build_network(TINY, seed=0), 1)
         mask = list(params.freeze)
