@@ -19,7 +19,7 @@ from .atomic import atomic_open
 from .dataset import (PROTOCOLS, SPLITS, export_pairs_csv, generate_pairs, merge_weak_labels,
                       parse_manifest)
 from .evaluator import SCORE_MODES, metrics_report, roc_curve, run_ablation, score_pairs
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, finite_real
 from .gradcheck import grad_check
 from .losses import LossConfig
 from .network import DEFAULT_FREEZE, NetworkSpec, build_network, load_params
@@ -163,6 +163,8 @@ def _cmd_pairs(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not (finite_real(args.tol) and args.tol > 0):  # inf passes all, nan and 0 none
+        raise ConfigError(f"tol must be a finite positive number, got {args.tol!r}")
     spec = NetworkSpec.profile(args.profile)
     params = build_network(spec, seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)

@@ -15,7 +15,7 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -121,6 +121,31 @@ def _record_from_obj(obj, lineno: int, seen: set) -> ImageRecord:
 
 def load_image(rec: ImageRecord, target: tuple[int, int, int]) -> Tensor:
     """Read, crop to bbox, adapt channels, bilinear-resize, scale to [0, 1]."""
+    return Tensor(load_images([rec], target)[0])
+
+
+def load_images(records: list[ImageRecord], target: tuple[int, int, int]) -> np.ndarray:
+    """``load_image`` of each record, in order, as one ``(n, C, H, W)`` array.
+
+    Each run of consecutive images of one shape, once cropped and with its
+    channels adapted, is resized by one ``bilinear_resize`` call over its
+    channels stacked together.  The resize acts on each channel alone, so
+    every image has the bits ``load_image`` gives it; only one run of source
+    images is held at a time.
+    """
+    tc, th, tw = target
+    out = np.empty((len(records), tc, th, tw))
+    start = 0
+    for _, run in groupby((_read_cropped(rec, tc) for rec in records), key=np.shape):
+        run = np.concatenate(list(run))
+        n = len(run) // tc
+        out[start:start + n] = images.bilinear_resize(run, th, tw).reshape(n, tc, th, tw)
+        start += n
+    return out
+
+
+def _read_cropped(rec: ImageRecord, channels: int) -> np.ndarray:
+    """The record's image, cropped to its bbox, with ``channels`` channels."""
     img = images.read_image(rec.path)
     if rec.bbox is not None:
         x, y, w, h = rec.bbox
@@ -128,15 +153,14 @@ def load_image(rec: ImageRecord, target: tuple[int, int, int]) -> Tensor:
         if w <= 0 or h <= 0 or x + w > iw or y + h > ih:
             raise DomainError(f"bbox {rec.bbox} outside image {iw}x{ih}: {rec.path}")
         img = img[:, y:y + h, x:x + w]
-    tc, th, tw = target
-    if img.shape[0] != tc:
-        if tc == 1:
+    if img.shape[0] != channels:
+        if channels == 1:
             img = img.mean(axis=0, keepdims=True)
         elif img.shape[0] == 1:
-            img = np.repeat(img, tc, axis=0)
+            img = np.repeat(img, channels, axis=0)
         else:
-            raise DomainError(f"cannot adapt {img.shape[0]} channels to {tc}: {rec.path}")
-    return Tensor(images.bilinear_resize(img, th, tw))
+            raise DomainError(f"cannot adapt {img.shape[0]} channels to {channels}: {rec.path}")
+    return img
 
 
 def distinct_images(pairs: list[PairRecord]) -> tuple[list[ImageRecord], np.ndarray]:

@@ -19,18 +19,19 @@ import numpy as np
 
 from . import losses
 from .atomic import atomic_open
-from .dataset import PairRecord, distinct_images, generate_pairs, load_image, merge_weak_labels
+from .dataset import PairRecord, distinct_images, generate_pairs, load_images, merge_weak_labels
 from .errors import ConfigError, DomainError
 from .network import NetworkParams, build_network, forward_embedding, forward_head
 from .tensor import Tensor
-from .trainer import TrainConfig, apply_settings, train
+from .trainer import TrainConfig, apply_settings, keep_freed_memory, train
 
 DEFAULT_FAR_TARGETS = (0.001, 0.01, 0.1)
 SCORE_MODES = ("head", "cosine")
 _BLOCK_PAIRS = 128  # pairs per head or cosine pass of score_pairs; bounds its row arrays
-# Largest conv output of one score_pairs embedding stack: 2 tiny images.  At 4, glibc
-# trimmed the heap after each stack and faulted about 1 MB back in for the next.
-_STACK_BYTES = 1 << 17
+# Largest conv output of one score_pairs embedding stack: 4 tiny images, 1 vggface16 image.
+# Wider stacks than 2 tiny images need the heap that keep_freed_memory keeps: with glibc's
+# defaults it was trimmed after each stack and about 1 MB faulted back in for the next.
+_STACK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,16 @@ def score_pairs(params: NetworkParams, pairs: list[PairRecord],
     Each distinct image (a file and its crop), in order of first appearance,
     is loaded and embedded once, in stacks whose largest conv output fits
     ``_STACK_BYTES`` (one image where a single one does not), into the rows
-    of an (images, fc2) matrix.  The head or cosine then runs once per block
-    of ``_BLOCK_PAIRS`` pairs on their a-side and b-side rows; each score has
-    the bits of its pair scored alone.
+    of an (images, fc2) matrix; each stack is one ``load_images`` call and
+    one ``forward_embedding`` call.  The head or cosine then runs once per
+    block of ``_BLOCK_PAIRS`` pairs on their a-side and b-side rows; each
+    score has the bits of its pair scored alone.
+
+    Under glibc it first sets malloc, as ``train()`` does, to keep freed
+    memory for reuse (``keep_freed_memory``), so that no stack faults in
+    again the memory the last one freed.
     """
+    keep_freed_memory()
     if mode not in SCORE_MODES:
         raise ConfigError(f"unknown scoring mode {mode!r}")
     if not pairs:
@@ -108,8 +115,8 @@ def score_pairs(params: NetworkParams, pairs: list[PairRecord],
     per_stack = max(1, _STACK_BYTES // (8 * largest))  # float64 conv outputs
     emb = np.empty((len(distinct), spec.fc[1]))
     for s in range(0, len(distinct), per_stack):
-        stack = np.stack([load_image(rec, target).data for rec in distinct[s:s + per_stack]])
-        emb[s:s + per_stack] = forward_embedding(params, Tensor(stack)).data
+        stack = Tensor(load_images(distinct[s:s + per_stack], target))
+        emb[s:s + per_stack] = forward_embedding(params, stack).data
     scores = np.empty(len(pairs))
     for s in range(0, len(pairs), _BLOCK_PAIRS):
         block = rows[s:s + _BLOCK_PAIRS]

@@ -17,11 +17,11 @@ import numpy as np
 
 from . import losses, ops
 from .atomic import atomic_open
-from .dataset import AugmentConfig, PairRecord, augment, distinct_images, load_image, pair_rng
+from .dataset import AugmentConfig, PairRecord, augment, distinct_images, load_images, pair_rng
 from .errors import ConfigError, NumericError, finite_real
 from .losses import LossBreakdown, LossConfig, class_weights, total_loss
 from .network import NetworkParams, forward_embedding, forward_head, freeze_prefix, save_params
-from .tensor import Graph
+from .tensor import Graph, Tensor
 
 
 @dataclass
@@ -194,11 +194,11 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
     the pair list's inverse-frequency weights to ``cfg.loss``.
 
     Under glibc it first sets malloc, for the whole process and for good, to
-    keep freed memory for reuse (``_keep_freed_memory``): with glibc's
+    keep freed memory for reuse (``keep_freed_memory``): with glibc's
     defaults each step gives its arrays back to the kernel and faults them in
-    again on the next step.  No number changes; elsewhere nothing is set.
+    again on the next step.  No number changes.
     """
-    _keep_freed_memory()
+    keep_freed_memory()
     if not pairs:
         raise ConfigError("no training pairs")
     loss_cfg = cfg.loss
@@ -212,7 +212,7 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
     log = TrainLog()
     checkpoints = []
     records, rows = distinct_images(pairs)
-    images = [load_image(rec, params.spec.input_shape) for rec in records] if cfg.epochs else []
+    images = load_images(records if cfg.epochs else [], params.spec.input_shape)
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         epoch_seed = int(np.random.SeedSequence((cfg.seed, epoch)).generate_state(1)[0])
@@ -224,7 +224,7 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
                 inputs = []
                 for idx, pair in batch:
                     rng = pair_rng(cfg.seed, epoch, idx)
-                    xa, xb = [augment(images[r], cfg.augment, rng) for r in rows[idx]]
+                    xa, xb = [augment(Tensor(images[r]), cfg.augment, rng) for r in rows[idx]]
                     inputs.append((xa, xb, pair.y))
                 g = Graph(live)
                 bd = pair_batch_loss(params, inputs, loss_cfg, g)
@@ -250,8 +250,11 @@ def train(params: NetworkParams, pairs: list[PairRecord], cfg: TrainConfig,
     return params, log, checkpoints
 
 
-def _keep_freed_memory() -> None:
-    """Have glibc's malloc keep a step's freed arrays for the next step; elsewhere do nothing.
+def keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed arrays for reuse; without glibc, do nothing.
+
+    ``train()`` and ``evaluator.score_pairs`` call it first, so that each
+    training step and each scoring stack reuses the memory the last one freed.
 
     Arrays under 32 MiB come from the heap, not from their own mappings, and
     the heap keeps up to 64 MiB free at its top before it trims.  32 MiB is

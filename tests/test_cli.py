@@ -97,6 +97,16 @@ class TestGradcheck:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ConfigError: max_coords_per_tensor")
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_tolerance_not_finite_and_positive_is_a_config_error(self, tol, monkeypatch,
+                                                                  capsys):
+        built = []
+        monkeypatch.setattr(cli, "build_network", lambda *a, **k: built.append(a))
+        assert main(["gradcheck", "--profile", "tiny", "--max-coords", "1", "--tol", tol]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ConfigError: tol must be")
+        assert built == []  # refused before any network is built
+
     def test_negative_seed_is_a_config_error(self, capsys):
         assert main(["gradcheck", "--profile", "tiny", "--seed", "-1"]) == 1
         out, err = capsys.readouterr()

@@ -9,8 +9,9 @@ import pytest
 
 from siamverify import (AugmentConfig, ImageRecord, augment, generate_pairs,
                         load_image, merge_weak_labels, parse_manifest)
-from siamverify.dataset import (PairRecord, distinct_images, export_pairs_csv, pair_rng,
-                               PAIR_CSV_HEADER)
+from siamverify import images
+from siamverify.dataset import (PairRecord, distinct_images, export_pairs_csv, load_images,
+                               pair_rng, PAIR_CSV_HEADER)
 from siamverify.errors import ConfigError, DomainError, FormatError, ManifestError
 from imagefiles import write_f64, write_pgm, write_ppm
 from siamverify.tensor import Tensor
@@ -186,6 +187,60 @@ class TestLoadImage:
         write_f64(path, img)
         with pytest.raises(FormatError, match="non-finite.*a.f64"):
             load_image(rec(path=str(path)), (1, 4, 4))
+
+
+class TestLoadImages:
+    def mixed_records(self, tmp_path):
+        """Two source sizes, a bbox crop, an RGB image, a ``.f64`` image and one
+        already at 24x24, with runs of one shape both next to each other and apart."""
+        rng = np.random.default_rng(8)
+        files = {"a.pgm": (1, 40, 36), "b.pgm": (1, 40, 36), "c.pgm": (1, 32, 32),
+                 "rgb.ppm": (3, 32, 32), "d.f64": (1, 30, 30), "e.pgm": (1, 24, 24)}
+        for name, shape in files.items():
+            write = {".pgm": write_pgm, ".ppm": write_ppm, ".f64": write_f64}[name[-4:]]
+            write(tmp_path / name, rng.random(shape))
+        path = {name: str(tmp_path / name) for name in files}
+        return [rec(path=path["a.pgm"]), rec(path=path["b.pgm"]), rec(path=path["c.pgm"]),
+                rec(path=path["c.pgm"], bbox=(2, 1, 28, 30)), rec(path=path["rgb.ppm"]),
+                rec(path=path["d.f64"]), rec(path=path["e.pgm"]), rec(path=path["e.pgm"]),
+                rec(path=path["a.pgm"])]
+
+    @staticmethod
+    def one_by_one(r, target):
+        """Each image read, cropped, adapted and resized alone."""
+        img = images.read_image(r.path)
+        if r.bbox is not None:
+            x, y, w, h = r.bbox
+            img = img[:, y:y + h, x:x + w]
+        if img.shape[0] != target[0]:
+            img = (img.mean(axis=0, keepdims=True) if target[0] == 1
+                   else np.repeat(img, target[0], axis=0))
+        return images.bilinear_resize(img, *target[1:])
+
+    @pytest.mark.parametrize("target", [(1, 24, 24), (3, 24, 24)])
+    def test_equals_each_record_loaded_alone(self, tmp_path, target):
+        records = self.mixed_records(tmp_path)
+        out = load_images(records, target)
+        assert out.shape == (len(records),) + target
+        for r, img in zip(records, out):
+            assert img.tobytes() == load_image(r, target).data.tobytes()
+            assert img.tobytes() == self.one_by_one(r, target).tobytes()
+
+    def test_one_resize_per_run_of_one_shape(self, tmp_path, monkeypatch):
+        resized = []
+        real = images.bilinear_resize
+
+        def recording(img, out_h, out_w):
+            resized.append(img.shape)
+            return real(img, out_h, out_w)
+
+        monkeypatch.setattr(images, "bilinear_resize", recording)
+        load_images(self.mixed_records(tmp_path), (1, 24, 24))
+        assert resized == [(2, 40, 36), (1, 32, 32), (1, 30, 28), (1, 32, 32), (1, 30, 30),
+                           (2, 24, 24), (1, 40, 36)]
+
+    def test_no_records(self):
+        assert load_images([], (3, 8, 8)).shape == (0, 3, 8, 8)
 
 
 class TestDistinctImages:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faults import fresh_process_count, glibc_mallopt
 from imagefiles import write_pgm, write_ppm
 from siamverify import (NetworkSpec, ScoreSet, TrainConfig, TrainLog, accuracy_at,
                         best_accuracy, build_network, gar_at_far, metrics_report,
@@ -15,6 +16,30 @@ from siamverify import (NetworkSpec, ScoreSet, TrainConfig, TrainLog, accuracy_a
 from siamverify import evaluator
 from siamverify.dataset import ImageRecord, PairRecord
 from siamverify.errors import ConfigError, DomainError
+
+# Two score_pairs rounds over 165 pairs of 40 tiny images, in a fresh process;
+# prints the minor page faults of the second round.
+TWO_ROUNDS = """
+import resource, sys
+import numpy as np
+from imagefiles import write_pgm
+from siamverify import NetworkSpec, build_network, generate_pairs, score_pairs
+from siamverify.dataset import ImageRecord
+
+rng = np.random.default_rng(0)
+records = []
+for i in range(40):
+    path = f"{sys.argv[1]}/im{i}.pgm"
+    write_pgm(path, rng.random((1, 48, 48)))
+    records.append(ImageRecord(f"id{i % 4}", path, ("genuine", "disguised", "impostor")[i % 3]))
+pairs = generate_pairs(records, "overall")
+params = build_network(NetworkSpec.tiny(), seed=0)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    score_pairs(params, pairs)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults)
+"""
 
 EXAMPLE = ScoreSet(genuine=np.array([0.9, 0.8, 0.7, 0.4]),
                    impostor=np.array([0.6, 0.3, 0.2, 0.1]))
@@ -244,16 +269,21 @@ class TestScorePairs:
         crop = self.crop_pair(tmp_path).b
         twin = replace(crop, identity="id02", source="web")
         other = self.make_pairs(tmp_path, n=1)[0].a
-        real, loaded = evaluator.load_image, []
+        real, loaded = evaluator.load_images, []
 
-        def counting(rec, target):
-            loaded.append((rec.path, rec.bbox))
-            return real(rec, target)
+        def counting(records, target):
+            loaded.extend((rec.path, rec.bbox) for rec in records)
+            return real(records, target)
 
-        monkeypatch.setattr(evaluator, "load_image", counting)
+        monkeypatch.setattr(evaluator, "load_images", counting)
         pairs = [PairRecord(crop, other, 0, "overall"), PairRecord(other, twin, 1, "overall")]
         score_pairs(build_network(NetworkSpec.tiny(), seed=0), pairs, mode="cosine")
         assert loaded == [(crop.path, crop.bbox), (other.path, None)]
+
+    @pytest.mark.skipif(not glibc_mallopt(), reason="needs glibc's mallopt")
+    def test_second_round_does_not_fault_its_memory_in_again(self, tmp_path):
+        # without keep_freed_memory glibc trims its heap after each stack of 4 images
+        assert fresh_process_count(TWO_ROUNDS, tmp_path) < 1000
 
     def test_scores_equal_per_pair_forward(self, tmp_path):
         from siamverify import cosine_similarity, load_image, siamese_forward

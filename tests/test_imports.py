@@ -1,6 +1,7 @@
 """Every import in the package modules is used (``__init__`` re-exports exempt)
 and sits at module level, not inside a function body; one function in the
-package opens files for writing; every public function, class and method
+package opens files for writing and one sets the allocator, called by both
+``train`` and ``score_pairs``; every public function, class and method
 has a caller in the package or in perfbench, not only in tests; and so does
 every private top-level function and module-level constant."""
 
@@ -129,6 +130,53 @@ def test_one_function_opens_files_for_writing():
     writers = [(path.name, line, fn) for path in sorted(PACKAGE.glob("*.py"))
                for line, fn in writing_opens(path.read_text(encoding="utf-8"))]
     assert [(name, fn) for name, _, fn in writers] == [("atomic.py", "atomic_open")], writers
+
+
+def functions_referencing(source: str, name: str) -> list[tuple[int, str | None]]:
+    """(line, enclosing function) of each line that names ``name``, as a name or an attribute."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name):
+                found.append((child.lineno, fn))
+            is_fn = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_fn else fn)
+
+    visit(ast.parse(source), None)
+    return sorted(set(found), key=lambda hit: hit[0])
+
+
+def calls_in(source: str, function: str) -> set[str]:
+    """Names called, as a name or an attribute, in the body of each function named ``function``."""
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name == function
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))}
+
+
+def test_detector_flags_a_second_mallopt_call_site():
+    source = ("import ctypes\n"
+              "def keep():\n"
+              "    mallopt = ctypes.CDLL(None).mallopt\n"
+              "    mallopt(-1, 1)\n"
+              "def score():\n"
+              "    keep()\n"
+              "    ctypes.CDLL(None).mallopt(-3, 2)\n")
+    assert functions_referencing(source, "mallopt") == [(3, "keep"), (4, "keep"),
+                                                        (7, "score")]
+    assert calls_in(source, "score") == {"keep", "mallopt", "CDLL"}
+
+
+def test_one_function_sets_the_allocator_and_train_and_scoring_call_it():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    owners = {(name, fn) for name, source in sources.items()
+              for _, fn in functions_referencing(source, "mallopt")}
+    assert owners == {("trainer.py", "keep_freed_memory")}, owners
+    assert "keep_freed_memory" in calls_in(sources["trainer.py"], "train")
+    assert "keep_freed_memory" in calls_in(sources["evaluator.py"], "score_pairs")
 
 
 PERFBENCH = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))

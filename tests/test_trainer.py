@@ -1,12 +1,8 @@
 """Batching, SGD updates, determinism, and loss descent on a fixed batch."""
 
-import ctypes
 import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +13,7 @@ from siamverify import (AugmentConfig, Graph, LossConfig, NetworkParams, Network
 from siamverify.trainer import NO_AUGMENT, apply_settings, pair_batch_loss, settings_of
 from siamverify.dataset import ImageRecord, PairRecord, load_image
 from siamverify.errors import ConfigError, FormatError, NumericError
+from faults import fresh_process_count, glibc_mallopt
 from imagefiles import write_pgm
 from sums import assert_within_summation_bound
 
@@ -64,14 +61,6 @@ for _ in range(2):
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 print(faults)
 """
-
-
-def _glibc_mallopt() -> bool:
-    try:
-        libc = ctypes.CDLL(None)
-    except (OSError, TypeError):
-        return False
-    return hasattr(libc, "mallopt") and hasattr(libc, "gnu_get_libc_version")
 
 
 def crop_records(tmp_path):
@@ -509,17 +498,10 @@ class TestTrainLoop:
         assert not all(np.array_equal(a, b) for a, b in zip(after_step_2, initial))
         assert all(np.array_equal(t.data, b) for t, b in zip(saved.tensors, after_step_2))
 
-    @pytest.mark.skipif(not _glibc_mallopt(), reason="needs glibc's mallopt")
+    @pytest.mark.skipif(not glibc_mallopt(), reason="needs glibc's mallopt")
     def test_second_round_does_not_fault_its_memory_in_again(self, tmp_path):
         # with glibc's defaults the second round took 7.8k minor faults (x86-64, numpy 2.4)
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-                       [str(root / "src"), str(root / "tests")]))
-        proc = subprocess.run([sys.executable, "-c", TWO_ROUNDS, str(tmp_path)], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout.split()[-1]) < 1000
+        assert fresh_process_count(TWO_ROUNDS, tmp_path) < 1000
 
 
 class TestTrainAppliesConfig:
@@ -597,13 +579,13 @@ class TestTrainAppliesConfig:
         twin = replace(crop, identity="id02")
         pairs = [PairRecord(crop, other, 0, "overall"), PairRecord(twin, other, 0, "overall"),
                  PairRecord(other, twin, 1, "overall")]
-        real, loaded = trainer.load_image, []
+        real, loaded = trainer.load_images, []
 
-        def counting(rec, target):
-            loaded.append((rec.path, rec.bbox))
-            return real(rec, target)
+        def counting(records, target):
+            loaded.extend((rec.path, rec.bbox) for rec in records)
+            return real(records, target)
 
-        monkeypatch.setattr(trainer, "load_image", counting)
+        monkeypatch.setattr(trainer, "load_images", counting)
         train(build_network(TINY, seed=0), pairs, fast_cfg(epochs=2, batch_size=1))
         assert loaded == [(crop.path, crop.bbox), (other.path, None)]
         loaded.clear()
