@@ -107,12 +107,18 @@ def _record(args, **extras) -> dict:
             **extras}
 
 
+def _check_record(out_dir, command: str) -> None:
+    """Refuse a directory that holds another command's record."""
+    path = os.path.join(out_dir, "resolved_config.json")
+    if os.path.exists(path) and _read_json(path, dict).get("command") != command:
+        raise ConfigError(f"{path} is not a {command!r} record; "
+                          "give each command its own output directory")
+
+
 def _write_config(out_dir, config: dict) -> None:
     """Write ``config``, refusing to replace another command's record."""
+    _check_record(out_dir, config["command"])
     path = os.path.join(out_dir, "resolved_config.json")
-    if os.path.exists(path) and _read_json(path, dict).get("command") != config["command"]:
-        raise ConfigError(f"{path} is not a {config['command']!r} record; "
-                          "give each command its own output directory")
     os.makedirs(out_dir, exist_ok=True)
     with atomic_open(path, "w", encoding="utf-8") as f:
         json.dump(config, f, indent=2, sort_keys=True)
@@ -140,13 +146,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    """Score and render first, then write: a failing eval leaves the directory as it was."""
+    _check_record(args.out, "eval")
     params = load_params(args.checkpoint)
     records = [r for r in parse_manifest(args.manifest) if args.split in (None, r.split)]
     pairs = generate_pairs(records, "overall")
-    _write_config(args.out, _record(args, protocol="overall", n_pairs=len(pairs)))
     scores = score_pairs(params, pairs, mode=args.mode)
-    report = json.dumps(metrics_report(scores, args.mode), indent=2)  # rendered before any write
-    roc_curve(scores).write_csv(os.path.join(args.out, "roc.csv"))
+    report = json.dumps(metrics_report(scores, args.mode), indent=2)
+    roc = roc_curve(scores)
+    _write_config(args.out, _record(args, protocol="overall", n_pairs=len(pairs)))
+    roc.write_csv(os.path.join(args.out, "roc.csv"))
     with atomic_open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as f:
         f.write(report)
     print(report)

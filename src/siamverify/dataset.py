@@ -175,9 +175,10 @@ def distinct_images(pairs: list[PairRecord]) -> tuple[list[ImageRecord], np.ndar
 
 
 def merge_weak_labels(dfw: list[ImageRecord], web: list[ImageRecord]) -> list[ImageRecord]:
-    """Union of curated records and weakly labelled web additions.
+    """Union of curated records and weakly labelled web additions, marked ``source="web"``.
 
     Each (identity, path) names one record, as within one manifest: one image, one label.
+    A web record's label is its identity's genuine face, so any other ``kind`` is refused.
     """
     known = {r.identity for r in dfw}
     unknown = sorted({r.identity for r in web} - known)
@@ -188,7 +189,10 @@ def merge_weak_labels(dfw: list[ImageRecord], web: list[ImageRecord]) -> list[Im
     if repeated:
         raise ConfigError(f"duplicate (identity, path) in dfw and web records: "
                           f"{', '.join(map(str, repeated))}")
-    return list(dfw) + [replace(r, source="web", kind="genuine") for r in web]
+    not_genuine = sorted((r.identity, r.path) for r in web if r.kind != "genuine")
+    if not_genuine:
+        raise ConfigError(f"web records not of kind genuine: {', '.join(map(str, not_genuine))}")
+    return list(dfw) + [replace(r, source="web") for r in web]
 
 
 def generate_pairs(records: list[ImageRecord], protocol: str) -> list[PairRecord]:

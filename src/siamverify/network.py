@@ -14,7 +14,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -87,23 +87,13 @@ class NetworkSpec:
         return tuple(rows)
 
     def to_dict(self) -> dict:
-        return {
-            "input_shape": list(self.input_shape),
-            "stages": [list(s) for s in self.stages],
-            "fc": list(self.fc),
-            "head": list(self.head),
-            "name": self.name,
-        }
+        """Every field by name; its tuples serialise as the JSON arrays ``from_dict`` reads."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
-        return cls(
-            input_shape=tuple(d["input_shape"]),
-            stages=tuple(tuple(s) for s in d["stages"]),
-            fc=tuple(d["fc"]),
-            head=tuple(d["head"]),
-            name=d.get("name", "custom"),
-        )
+        """The spec of ``d``'s fields, lists as tuples; other keys ignored, absent ones default."""
+        return cls(**{f.name: _tuples(d[f.name]) for f in fields(cls) if f.name in d})
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -129,6 +119,13 @@ class NetworkSpec:
 
 
 DEFAULT_FREEZE = {"tiny": 1, "vggface16": 4}
+
+
+def _tuples(value):
+    """A JSON list as a tuple, and each list in it too (a ``stages`` entry); else ``value``."""
+    if not isinstance(value, list):
+        return value
+    return tuple(tuple(v) if isinstance(v, list) else v for v in value)
 
 
 @dataclass

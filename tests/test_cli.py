@@ -169,6 +169,28 @@ class TestTrainEvalRoundTrip:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_failing_eval_keeps_the_earlier_eval_files(self, trained, corpus, tmp_path, capsys):
+        out = tmp_path / "evalrun"
+        argv = ["eval", "--checkpoint", str(trained / "checkpoint_final.dgnet"),
+                "--manifest", corpus[0], "--out", str(out)]
+        assert main([*argv, "--split", "val"]) == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        assert sorted(before) == ["metrics.json", "resolved_config.json", "roc.csv"]
+        capsys.readouterr()
+        assert main([*argv, "--split", "test"]) == 1  # the manifest has no test records
+        assert capsys.readouterr().err == "error: ConfigError: no pairs to score\n"
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+    def test_web_record_that_is_not_genuine_is_refused(self, corpus, tmp_path, capsys):
+        web = tmp_path / "web.jsonl"
+        web.write_text(json.dumps({"identity": "id01", "path": "x.pgm", "kind": "impostor"}))
+        out = tmp_path / "run"
+        assert main(["train", "--manifest", corpus[0], "--web-manifest", str(web),
+                     "--out", str(out), "--epochs", "1"]) == 1
+        assert capsys.readouterr().err == ("error: ConfigError: web records not of kind "
+                                           "genuine: ('id01', 'x.pgm')\n")
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, corpus, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"epochs": 1, "lr": 0.01, "seed": 9,

@@ -285,6 +285,13 @@ class TestMergeWeakLabels:
         with pytest.raises(ConfigError, match=r"\('id01', 'a.pgm'\), \('id01', 'b.pgm'\)$"):
             merge_weak_labels(dfw, web)
 
+    def test_web_records_not_genuine_listed(self):
+        # relabelled as genuine, an impostor would train as a positive of its identity
+        web = [ImageRecord("id01", "x.pgm", "impostor"), ImageRecord("id01", "w.pgm", "genuine"),
+               ImageRecord("id01", "d.pgm", "disguised", source="web")]
+        with pytest.raises(ConfigError, match=r"\('id01', 'd.pgm'\), \('id01', 'x.pgm'\)$"):
+            merge_weak_labels([rec()], web)
+
 
 def brute_force_pairs(records, protocol):
     """Independent enumeration over unordered pairs."""

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,6 +96,39 @@ class TestSpec:
         assert again == TINY
         assert again.fingerprint() == TINY.fingerprint()
         assert NetworkSpec.vggface16().fingerprint() != TINY.fingerprint()
+
+
+class TestCheckpointBytes:
+    """Spec fingerprints and checkpoint header bytes recorded at commit e0d9a05.
+
+    Any change here changes the bytes of every saved checkpoint.
+    """
+
+    FINGERPRINTS = {
+        "tiny": "af3eca937ca2a6d1aa8e109d593cefff42292c0e096e9e4aafdad99eb16b825b",
+        "vggface16": "9619c5f7c25a0b5ece1910666081d716f0f46042595d6404cb603c5fe088ad34",
+        "positional-walk": "00d147ac5aa082ea442774ee7c8956dd120be233191978d8562544a58e2c844c",
+    }
+    TINY_HEADER = (
+        b'DGNETv1\x01\x00\x00\x00N\x01\x00\x00{"fingerprint": "af3eca937ca2a6d1aa8e109d593cefff'
+        b'42292c0e096e9e4aafdad99eb16b825b", "freeze": [false, false, false, false, false, '
+        b'false, false, false, false, false, false, false, false, false, false, false], '
+        b'"seed": 0, "spec": {"fc": [64, 32], "head": [16, 1], "input_shape": [1, 32, 32], '
+        b'"name": "tiny", "stages": [[8, 2], [16, 2]]}}')
+
+    @pytest.mark.parametrize("name", sorted(FINGERPRINTS))
+    def test_fingerprint(self, name):
+        spec = {"tiny": TINY, "vggface16": NetworkSpec.vggface16(),
+                "positional-walk": TestPositionalWalk.SPEC}[name]
+        assert spec.fingerprint() == self.FINGERPRINTS[name]
+
+    def test_tiny_checkpoint_header(self, tmp_path):
+        path = tmp_path / "net.dgnet"
+        save_params(build_network(TINY, seed=0), path)
+        raw = path.read_bytes()
+        assert raw[:len(self.TINY_HEADER)] == self.TINY_HEADER
+        assert len(raw) == len(self.TINY_HEADER) + 8 * sum(t.data.size for t in
+                                                            load_params(path).tensors)
 
 
 class TestBuild:
@@ -492,6 +526,30 @@ class TestCheckpointHeader:
         path.write_bytes(b"DGNETv1" + struct.pack("<II", 1, len(blob)) + blob)
         with pytest.raises(FormatError):
             load_params(path)
+
+    @pytest.mark.parametrize("spec,name", [
+        ({**TINY.to_dict(), "extra": [1]}, "tiny"),
+        ({k: v for k, v in TINY.to_dict().items() if k != "name"}, "custom"),
+    ], ids=["unknown-key", "missing-name"])
+    def test_unknown_key_is_ignored_and_missing_name_is_custom(self, tmp_path, spec, name):
+        # the fingerprint is the loaded spec's own: the extra key is not in it
+        expect = replace(TINY, name=name)
+        params = load_params(_with_header(
+            tmp_path, lambda h: {**h, "spec": spec, "fingerprint": expect.fingerprint()}))
+        assert params.spec == expect
+
+    @pytest.mark.parametrize("field", ["input_shape", "stages", "fc", "head", "stage-entry"])
+    @pytest.mark.parametrize("value", ["abc", 3, {"a": 1, "b": 2, "c": 3}, None],
+                             ids=["string", "int", "object", "null"])
+    def test_field_that_is_no_list_is_format_error(self, tmp_path, field, value):
+        def mutate(h):
+            spec = ({**h["spec"], "stages": [value, [16, 2]]} if field == "stage-entry"
+                    else {**h["spec"], field: value})
+            blob = json.dumps(spec, sort_keys=True).encode()
+            return {**h, "spec": spec, "fingerprint": hashlib.sha256(blob).hexdigest()}
+
+        with pytest.raises(FormatError, match="^malformed spec in checkpoint header: "):
+            load_params(_with_header(tmp_path, mutate))
 
     def test_valid_mask_loads(self, tmp_path):
         mask = [True] * 2 + [False] * 14

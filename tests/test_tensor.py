@@ -783,6 +783,11 @@ class TestGradCheck:
         with pytest.raises(ConfigError):
             grad_check(lambda g: Tensor(1.0), [Tensor(1.0)], eps=1e-2)
 
+    @pytest.mark.parametrize("eps", ["1e-5", None], ids=["string", "none"])
+    def test_eps_that_is_no_number_is_a_config_error(self, eps):
+        with pytest.raises(ConfigError, match=f"got {eps!r}$"):
+            grad_check(lambda g: Tensor(1.0), [Tensor(1.0)], eps=eps)
+
     def test_nonfinite_loss_raises(self):
         x = Tensor(5e-6)  # x - eps goes negative, log turns non-finite
 

@@ -129,7 +129,8 @@ def one_field_changed(base: dict):
 
 
 @FUZZ
-@given(spec=one_field_changed(SMALL.to_dict()), payload=st.binary(max_size=512))
+@given(spec=one_field_changed(json.loads(json.dumps(SMALL.to_dict()))),
+       payload=st.binary(max_size=512))
 def test_load_params_on_generated_specs(tmp_path, checkpoint_bytes, spec, payload):
     """A spec whose fingerprint matches reaches every check after the fingerprint."""
     fingerprint = hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()
