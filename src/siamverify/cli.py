@@ -19,10 +19,10 @@ from .atomic import atomic_open
 from .dataset import (PROTOCOLS, SPLITS, export_pairs_csv, generate_pairs, merge_weak_labels,
                       parse_manifest)
 from .evaluator import SCORE_MODES, metrics_report, roc_curve, run_ablation, score_pairs
-from .errors import ConfigError, NumericError, finite_real
+from .errors import ConfigError, NumericError, check_real
 from .gradcheck import grad_check
 from .losses import LossConfig
-from .network import DEFAULT_FREEZE, NetworkSpec, build_network, load_params
+from .network import DEFAULT_FREEZE, NetworkSpec, build_network, freeze_prefix, load_params
 from .tensor import Graph, Tensor
 from .trainer import SETTINGS, TrainConfig, apply_settings, pair_batch_loss, settings_of, train
 
@@ -133,11 +133,12 @@ def _cmd_train(args) -> int:
     if args.web_manifest:
         records = merge_weak_labels(records, parse_manifest(args.web_manifest))
     pairs = generate_pairs(records, "overall")
+    params = build_network(spec, seed=cfg.seed)
+    if cfg.freeze_k is not None:  # a prefix past the profile's convs fails before any write
+        freeze_prefix(params, cfg.freeze_k)
 
     _write_config(args.out, _record(args, protocol="overall", n_records=len(records),
                                     n_pairs=len(pairs), **settings_of(cfg)))
-
-    params = build_network(spec, seed=cfg.seed)
     _, log, checkpoints = train(params, pairs, cfg, out_dir=args.out)
     log.write_csv(os.path.join(args.out, "trainlog.csv"))
     print(f"trained {cfg.epochs} epochs on {len(pairs)} pairs; "
@@ -172,8 +173,7 @@ def _cmd_pairs(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if not (finite_real(args.tol) and args.tol > 0):  # inf passes all, nan and 0 none
-        raise ConfigError(f"tol must be a finite positive number, got {args.tol!r}")
+    check_real("tol", args.tol, 0, above=True)  # inf passes all, nan and 0 none
     spec = NetworkSpec.profile(args.profile)
     params = build_network(spec, seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)

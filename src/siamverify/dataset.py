@@ -21,7 +21,7 @@ import numpy as np
 
 from . import images
 from .atomic import atomic_open
-from .errors import ConfigError, DomainError, ManifestError, finite_real
+from .errors import ConfigError, DomainError, ManifestError, check_int, check_real
 from .tensor import Tensor
 
 KINDS = ("genuine", "disguised", "impostor")
@@ -58,17 +58,11 @@ class AugmentConfig:
     max_translate_px: int = 2
 
     def __post_init__(self):
-        reals = (int, float, np.integer, np.floating)
-        for name, kinds, kind, high, span in (
-                ("gaussian_sigma", reals, "a real number", np.inf, ">= 0"),
-                ("flip_prob", reals, "a real number", 1.0, "in [0, 1]"),
-                ("max_rotation_deg", reals, "a real number", np.inf, ">= 0"),
-                # augment draws the shift with rng.integers, whose bounds are int64
-                ("max_translate_px", (int, np.integer), "an int", np.iinfo(np.int64).max,
-                 "in [0, 2**63 - 1]")):
-            value = getattr(self, name)
-            if not isinstance(value, kinds) or not (finite_real(value) and 0 <= value <= high):
-                raise ConfigError(f"{name} must be {kind}, finite and {span}, got {value!r}")
+        check_real("gaussian_sigma", self.gaussian_sigma, 0)
+        check_real("flip_prob", self.flip_prob, 0, 1)
+        check_real("max_rotation_deg", self.max_rotation_deg, 0)
+        # augment draws the shift with rng.integers, whose bounds are int64
+        check_int("max_translate_px", self.max_translate_px, 0, np.iinfo(np.int64).max)
 
 
 def parse_manifest(path) -> list[ImageRecord]:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the number test of its config checks."""
+"""Exception types shared across the package, and the one owner of its number checks."""
 
 import math
 
@@ -40,3 +40,19 @@ def finite_real(value) -> bool:
                 and not isinstance(value, bool) and math.isfinite(value))
     except OverflowError:  # an int past float64's range
         return False
+
+
+def check_int(name: str, value, low: int, high: int | None = None) -> None:
+    """A ``ConfigError`` unless ``value`` is an int (numpy's too, no bool) in ``[low, high]``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low
+            or high is not None and value > high):
+        span = f">= {low}" if high is None else f"from {low} to {high}"
+        raise ConfigError(f"{name} must be an int {span}, got {value!r}")
+
+
+def check_real(name: str, value, low, high=math.inf, above: bool = False) -> None:
+    """A ``ConfigError`` unless ``value`` is a finite real in [low, high]; (low, high] if above."""
+    if not (finite_real(value) and (value > low if above else value >= low) and value <= high):
+        span = (f"{'>' if above else '>='} {low}" if high == math.inf
+                else f"in {'(' if above else '['}{low}, {high}]")
+        raise ConfigError(f"{name} must be a finite number {span}, got {value!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, finite_real
+from .errors import ConfigError, NumericError, check_int, check_real
 from .tensor import Graph
 
 
@@ -48,11 +48,9 @@ def grad_check(loss_fn, params, eps: float = 1e-5,
     ``max_coords_per_tensor`` deterministically subsamples coordinates of
     large tensors; by default every coordinate is checked.
     """
-    if not (finite_real(eps) and 1e-7 <= eps <= 1e-3):
-        raise ConfigError(f"eps must be a number in [1e-7, 1e-3], got {eps!r}")
-    k = max_coords_per_tensor  # bool is an int subclass, but no count
-    if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1):
-        raise ConfigError(f"max_coords_per_tensor must be an int >= 1, got {k!r}")
+    check_real("eps", eps, 1e-7, 1e-3)
+    if max_coords_per_tensor is not None:
+        check_int("max_coords_per_tensor", max_coords_per_tensor, 1)
     params = list(params)
     graph = Graph(params)
     out = loss_fn(graph)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, DomainError, ShapeError, finite_real
+from .errors import ConfigError, DomainError, ShapeError, check_real
 from .tensor import Graph, Tensor
 
 _NORM_EPS = 1e-12
@@ -35,11 +35,9 @@ class LossConfig:
     w_neg: float = 1.0
 
     def __post_init__(self):
-        if not finite_real(self.margin) or not 0.0 < self.margin <= 1.0:
-            raise ConfigError(f"margin must be a real number in (0, 1], got {self.margin!r}")
-        if not all(finite_real(w) and w > 0 for w in (self.w_pos, self.w_neg)):
-            raise ConfigError(f"class weights must be finite and positive, "
-                              f"got {self.w_pos!r}, {self.w_neg!r}")
+        check_real("margin", self.margin, 0, 1, above=True)
+        check_real("w_pos", self.w_pos, 0, above=True)
+        check_real("w_neg", self.w_neg, 0, above=True)
         if not all(isinstance(on, bool) for on in (self.enable_lr, self.enable_lbce)):
             raise ConfigError(f"enable_lr and enable_lbce must be bools, "
                               f"got {self.enable_lr!r}, {self.enable_lbce!r}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import ops
 from .atomic import atomic_open
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError, check_int
 from .tensor import Graph, Tensor
 
 CHECKPOINT_MAGIC = b"DGNETv1"
@@ -54,6 +54,8 @@ class NetworkSpec:
                 or not all(type(d) is int and d > 0 for d in dims)):  # bool is no size
             raise ConfigError("input (C, H, W), stage (out_channels, n_convs), fc and head "
                               f"sizes must be positive ints, got {self!r}")
+        if not isinstance(self.name, str):
+            raise ConfigError(f"spec name must be a string, got {self.name!r}")
         if not self.stages:
             raise ConfigError("conv stage list must be nonempty")
         if len(self.fc) != 2 or self.fc[1] < 2:
@@ -144,8 +146,7 @@ class NetworkParams:
 
 def build_network(spec: NetworkSpec, seed: int) -> NetworkParams:
     """He-uniform weights, zero biases; deterministic for a fixed seed (an int >= 0)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     tensors = []
     for layer in spec.layers:
@@ -158,8 +159,7 @@ def build_network(spec: NetworkSpec, seed: int) -> NetworkParams:
 def freeze_prefix(params: NetworkParams, k: int) -> NetworkParams:
     """Mark the weights and biases of the first k conv layers frozen."""
     n_conv = sum(layer.kind == "conv" for layer in params.spec.layers)
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= n_conv:
-        raise ConfigError(f"freeze prefix must be an int from 0 to {n_conv} convs, got {k!r}")
+    check_int("freeze prefix", k, 0, n_conv)
     params.freeze = [i < 2 * int(k) for i in range(len(params.tensors))]  # JSON bools
     return params
 

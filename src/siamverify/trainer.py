@@ -18,7 +18,7 @@ import numpy as np
 from . import losses, ops
 from .atomic import atomic_open
 from .dataset import AugmentConfig, PairRecord, augment, distinct_images, load_images, pair_rng
-from .errors import ConfigError, NumericError, finite_real
+from .errors import ConfigError, NumericError, check_int, check_real
 from .losses import LossBreakdown, LossConfig, class_weights, total_loss
 from .network import NetworkParams, forward_embedding, forward_head, freeze_prefix, save_params
 from .tensor import Graph, Tensor
@@ -38,17 +38,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "seed", "checkpoint_every", "freeze_k"):
-            value = getattr(self, name)
-            if name == "freeze_k" and value is None:
-                continue
-            # bool is an int subclass, but no count
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an int, got {value!r}")
-            low = 1 if name == "batch_size" else 0
-            if value < low:
-                raise ConfigError(f"{name} must be >= {low}, got {value}")
-        if not (finite_real(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be a finite positive number, got {self.lr!r}")
+            if not (name == "freeze_k" and self.freeze_k is None):
+                check_int(name, getattr(self, name), 1 if name == "batch_size" else 0)
+        check_real("lr", self.lr, 0, above=True)
         for name, kind in (("class_balance", bool), ("loss", LossConfig),
                            ("augment", AugmentConfig)):
             value = getattr(self, name)

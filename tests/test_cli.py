@@ -396,10 +396,12 @@ class TestSettings:
         assert seen == [] and not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command,flags,needle", [
-        ("train", ["--seed", "-1"], "seed must be >= 0"),
-        ("train", ["--freeze-k", "-3"], "freeze_k must be >= 0"),
-        ("ablate", ["--seed", "-1"], "seed must be >= 0"),
-    ], ids=["train-seed", "train-freeze-k", "ablate-seed"])
+        ("train", ["--seed", "-1"], "seed must be an int >= 0, got -1\n"),
+        ("train", ["--freeze-k", "-3"], "freeze_k must be an int >= 0, got -3\n"),
+        ("ablate", ["--seed", "-1"], "seed must be an int >= 0, got -1\n"),
+        # past the profile's 4 convs: refused before resolved_config.json is written
+        ("train", ["--freeze-k", "9"], "freeze prefix must be an int from 0 to 4, got 9\n"),
+    ], ids=["train-seed", "train-freeze-k", "ablate-seed", "train-freeze-k-past-convs"])
     def test_negative_flag_exits_1_writing_nothing(self, corpus, tmp_path, capsys, command,
                                                    flags, needle):
         out = tmp_path / "run"

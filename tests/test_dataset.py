@@ -1,6 +1,7 @@
 """Manifest parsing, image loading, pair protocols, augmentation."""
 
 import json
+import re
 import struct
 from itertools import combinations
 
@@ -445,6 +446,9 @@ class TestAugment:
     # 10**400 is an int past float64's largest finite value
     @pytest.mark.parametrize("value", [np.nan, np.inf, pytest.param(10 ** 400, id="10**400")])
     def test_non_finite_magnitude_rejected(self, field, value):
-        with pytest.raises(ConfigError, match="finite"):
+        span = (f"an int from 0 to {2 ** 63 - 1}" if field == "max_translate_px"
+                else "a finite number >= 0")
+        needle = f"{field} must be {span}, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(needle)}$"):
             AugmentConfig(**{field: value})
 

@@ -1,7 +1,8 @@
 """Every import in the package modules is used (``__init__`` re-exports exempt)
 and sits at module level, not inside a function body; one function in the
 package opens files for writing and one sets the allocator, called by both
-``train`` and ``score_pairs``; every public function, class and method
+``train`` and ``score_pairs``; only ``errors.py`` decides what a number is
+(``np.integer``, ``finite_real``); every public function, class and method
 has a caller in the package or in perfbench, not only in tests; and so does
 every private top-level function and module-level constant."""
 
@@ -177,6 +178,29 @@ def test_one_function_sets_the_allocator_and_train_and_scoring_call_it():
     assert owners == {("trainer.py", "keep_freed_memory")}, owners
     assert "keep_freed_memory" in calls_in(sources["trainer.py"], "train")
     assert "keep_freed_memory" in calls_in(sources["evaluator.py"], "score_pairs")
+
+
+def number_test_sites(source: str) -> list[int]:
+    """Lines that name ``np.integer`` or ``finite_real``: where a module tests a number's type."""
+    return sorted({line for name in ("integer", "finite_real")
+                   for line, _ in functions_referencing(source, name)})
+
+
+def test_detector_flags_a_second_number_test_site():
+    source = ("import numpy as np\n"
+              "from . import errors\n"
+              "def seed_ok(seed):\n"
+              "    errors.check_int('seed', seed, 0)\n"
+              "    return isinstance(seed, (int, np.integer))\n"
+              "def lr_ok(lr):\n"
+              "    return errors.finite_real(lr) and lr > 0\n")
+    assert number_test_sites(source) == [5, 7]
+
+
+def test_only_errors_decides_what_a_number_is():
+    owners = {path.name for path in MODULES
+              if number_test_sites(path.read_text(encoding="utf-8"))}
+    assert owners == {"errors.py"}, owners
 
 
 PERFBENCH = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))

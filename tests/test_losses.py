@@ -1,5 +1,7 @@
 """Loss oracles: hand values, straight-line re-implementation, gradients."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,7 +155,11 @@ class TestContrastive:
                                              (0.0, 1.0), (1.0, -2.0), ("1", 1.0), (True, 1.0),
                                              pytest.param(1.0, 10 ** 400, id="1.0-10**400")])
     def test_class_weights_finite_and_positive(self, w_pos, w_neg):
-        with pytest.raises(ConfigError, match="class weights"):
+        # w_pos is checked first; each case with a good w_pos has it 1.0
+        good_pos = (type(w_pos), w_pos) == (float, 1.0)
+        field, value = ("w_neg", w_neg) if good_pos else ("w_pos", w_pos)
+        needle = f"{field} must be a finite number > 0, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(needle)}$"):
             LossConfig(w_pos=w_pos, w_neg=w_neg)
 
     @pytest.mark.parametrize("field,value,needle", [

@@ -91,6 +91,12 @@ class TestSpec:
         with pytest.raises(ConfigError, match="positive ints"):
             NetworkSpec(input_shape, stages, fc, head)
 
+    @pytest.mark.parametrize("name", [5, None, True, {"a": 1}],
+                             ids=["int", "null", "bool", "object"])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(ConfigError, match=f"^spec name must be a string, got {name!r}$"):
+            replace(TINY, name=name)
+
     def test_dict_roundtrip_and_fingerprint(self):
         again = NetworkSpec.from_dict(TINY.to_dict())
         assert again == TINY
@@ -549,6 +555,17 @@ class TestCheckpointHeader:
             return {**h, "spec": spec, "fingerprint": hashlib.sha256(blob).hexdigest()}
 
         with pytest.raises(FormatError, match="^malformed spec in checkpoint header: "):
+            load_params(_with_header(tmp_path, mutate))
+
+    @pytest.mark.parametrize("name", [5, None, True, {"a": 1}],
+                             ids=["int", "null", "bool", "object"])
+    def test_name_that_is_no_string_is_format_error(self, tmp_path, name):
+        def mutate(h):  # the fingerprint recomputed, so only the name check can refuse it
+            spec = {**h["spec"], "name": name}
+            blob = json.dumps(spec, sort_keys=True).encode()
+            return {**h, "spec": spec, "fingerprint": hashlib.sha256(blob).hexdigest()}
+
+        with pytest.raises(FormatError, match="^malformed spec in checkpoint header: spec name "):
             load_params(_with_header(tmp_path, mutate))
 
     def test_valid_mask_loads(self, tmp_path):

@@ -620,7 +620,7 @@ class TestTrainConfig:
         ("seed", -1), ("freeze_k", -3), ("epochs", -1), ("checkpoint_every", -1),
     ])
     def test_negative_counts_rejected(self, field, value):
-        with pytest.raises(ConfigError, match=f"{field} must be >= 0, got {value}"):
+        with pytest.raises(ConfigError, match=f"^{field} must be an int >= 0, got {value}$"):
             TrainConfig(**{field: value})
         assert getattr(TrainConfig(**{field: 0}), field) == 0
 
