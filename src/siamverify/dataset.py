@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations, groupby
@@ -28,6 +29,7 @@ KINDS = ("genuine", "disguised", "impostor")
 SOURCES = ("dfw", "web")
 SPLITS = ("train", "val", "test")
 PROTOCOLS = ("impersonation", "obfuscation", "overall")
+_RUN_BYTES = 1 << 24  # the most source-image bytes load_images resizes in one call
 
 PAIR_CSV_HEADER = ["identity", "path_a", "path_b", "label", "protocol"]
 
@@ -122,20 +124,38 @@ def load_images(records: list[ImageRecord], target: tuple[int, int, int]) -> np.
     """``load_image`` of each record, in order, as one ``(n, C, H, W)`` array.
 
     Each run of consecutive images of one shape, once cropped and with its
-    channels adapted, is resized by one ``bilinear_resize`` call over its
-    channels stacked together.  The resize acts on each channel alone, so
-    every image has the bits ``load_image`` gives it; only one run of source
-    images is held at a time.
+    channels adapted, is copied into one buffer of at most ``_RUN_BYTES``
+    (one image where a single one does not fit), and each fill of it is
+    resized by one ``bilinear_resize`` call over its channels stacked
+    together.  The resize acts on each channel alone, so every image has the
+    bits ``load_image`` gives it; each source image is held once, in that
+    buffer.
     """
     tc, th, tw = target
     out = np.empty((len(records), tc, th, tw))
     start = 0
-    for _, run in groupby((_read_cropped(rec, tc) for rec in records), key=np.shape):
-        run = np.concatenate(list(run))
-        n = len(run) // tc
-        out[start:start + n] = images.bilinear_resize(run, th, tw).reshape(n, tc, th, tw)
-        start += n
+    for shape, run in groupby((_read_cropped(rec, tc) for rec in records), key=np.shape):
+        per = min(len(records) - start, max(1, _RUN_BYTES // (8 * math.prod(shape))))
+        buf = np.empty((per, *shape))
+        for n in _fill(buf, run):
+            resized = images.bilinear_resize(buf[:n].reshape(-1, *shape[1:]), th, tw)
+            out[start:start + n] = resized.reshape(n, tc, th, tw)
+            start += n
     return out
+
+
+def _fill(buf: np.ndarray, items):
+    """Copy ``items`` into ``buf``'s leading rows; yield the count each time it is full or
+    the items end, before any row is overwritten."""
+    n = 0
+    for item in items:
+        buf[n] = item
+        n += 1
+        if n == len(buf):
+            yield n
+            n = 0
+    if n:
+        yield n
 
 
 def _read_cropped(rec: ImageRecord, channels: int) -> np.ndarray:

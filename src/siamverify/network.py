@@ -184,7 +184,8 @@ def forward_embedding(params: NetworkParams, x: Tensor, g: Graph | None = None) 
             break
         if layer.kind == "fc" and h.data.ndim == 3:  # fc1 reads the last pool's output flat
             h = ops.reshape(g, h, (*lead, layer.weight[1]))
-        h = ops.relu(g, (ops.conv2d if layer.kind == "conv" else ops.linear)(g, h, w, b))
+        h = (ops.conv2d if layer.kind == "conv" else ops.linear)(g, h, w, b)
+        h = ops.relu(g, h)  # a separate line: the layer's input dies before relu allocates
         if layer.pool:
             h = ops.maxpool2(g, h)
     return h

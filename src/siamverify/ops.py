@@ -17,12 +17,16 @@ stack of images runs through the conv stages as one tensor.  The forward
 lowers each image to im2col columns one band of output rows at a time, each
 band at most ``_COLS_BYTES`` (16 MiB) of float64 where one output row fits,
 so no whole-layer column matrix is built; a layer whose columns fit is one
-band.  A band's gemm may round differently from a whole-layer gemm in the
-last bits, wherever the band starts; a one-band layer is unaffected.  On the
-tape a conv keeps its padded input, not its columns.  Backward adds the
-kernel gradient image by image from each image's whole column matrix; the
-input gradient is the forward's banded correlation with flipped kernels
-(see ``conv2d``), or ``None`` for an input the tape does not keep
+band.  No padded copy of the input is made either: each band's rows, with
+the row above and the row below, are copied into one zero-bordered slab
+that the call reuses for every image and band (``_im2col``).  A band's gemm
+may round differently from a whole-layer gemm in the last bits, wherever
+the band starts; a one-band layer is unaffected.  On the tape a conv keeps
+its input array itself, neither a padded copy nor its columns.  Backward
+adds the kernel gradient image by image from each image's whole column
+matrix, lowered through a slab of one padded image; the input gradient is
+the forward's banded correlation of the output gradient with flipped
+kernels (see ``conv2d``), or ``None`` for an input the tape does not keep
 (``Graph.keeps``), such as an image or a frozen prefix's output.
 
 What keeps its bits across a stack: each forward row or image, and each
@@ -215,32 +219,41 @@ def every_other_row(g, a, start: int) -> Tensor:
     return _rec(g, out, (a,), backward)
 
 
-def _im2col(xp: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """The 3x3 columns of output rows r0..r1 of a C-contiguous padded (c, h + 2, w + 2) input.
+def _im2col(xi: np.ndarray, slab: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """The 3x3 columns of output rows r0..r1 of one (c, h, w) image ``xi``.
 
-    One strided view over ``xp``'s buffer, then one copy.
+    ``slab`` is a C-contiguous, zero-bordered (c, rows + 2, w + 2) array with
+    rows >= r1 - r0, reused from band to band: input rows r0 - 1..r1 are
+    copied into it and any of them past the image's edge is zeroed, so no
+    halo row of an earlier band or image is read.  The columns are one
+    strided view over the slab's buffer, then one copy.
     """
-    c, _, wp = xp.shape
-    s0, s1, s2 = xp.strides
-    view = np.ndarray((c, 3, 3, r1 - r0, wp - 2), buffer=xp, offset=r0 * s1,
-                      strides=(s0, s1, s2, s1, s2))
-    return view.reshape(c * 9, (r1 - r0) * (wp - 2))
+    c, h, w = xi.shape
+    nr, top, bottom = r1 - r0, r0 == 0, r1 == h
+    slab[:, top:nr + 2 - bottom, 1:w + 1] = xi[:, r0 - 1 + top:r1 + 1 - bottom]
+    if top:
+        slab[:, 0] = 0.0
+    if bottom:
+        slab[:, nr + 1] = 0.0
+    s0, s1, s2 = slab.strides
+    view = np.ndarray((c, 3, 3, nr, w), buffer=slab, strides=(s0, s1, s2, s1, s2))
+    return view.reshape(c * 9, nr * w)
 
 
-def _correlate(x: np.ndarray, kmat: np.ndarray):
-    """The zero-padded stack of (n, c, h, w) images ``x`` and its 3x3 correlation with the
-    (cout, c * 9) ``kmat``, (n, cout, h * w): one gemm per image and band of output rows."""
+def _correlate(x: np.ndarray, kmat: np.ndarray) -> np.ndarray:
+    """The 3x3 correlation, zero-padded by one pixel, of the stack of (n, c, h, w) images
+    ``x`` with the (cout, c * 9) ``kmat``, (n, cout, h * w): one gemm per image and band of
+    output rows, each band lowered through one slab of its rows."""
     n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2, w + 2))
-    xp[:, :, 1:h + 1, 1:w + 1] = x
+    rows = min(h, max(1, _COLS_BYTES // (8 * c * 9 * w)))
     y = np.empty((n, kmat.shape[0], h * w))
-    rows = max(1, _COLS_BYTES // (8 * c * 9 * w))
-    for xi, yi in zip(xp, y):
+    slab = np.zeros((c, rows + 2, w + 2))  # after y: glibc's heap then peaks lower
+    for xi, yi in zip(x, y):
         for r0 in range(0, h, rows):
             r1 = min(r0 + rows, h)
             # BLAS may round a band's gemm differently from the whole layer's in the last bits
-            np.matmul(kmat, _im2col(xi, r0, r1), out=yi[:, r0 * w:r1 * w])
-    return xp, y
+            np.matmul(kmat, _im2col(xi, slab, r0, r1), out=yi[:, r0 * w:r1 * w])
+    return y
 
 
 def conv2d(g, x, kernels, bias) -> Tensor:
@@ -248,7 +261,11 @@ def conv2d(g, x, kernels, bias) -> Tensor:
 
     ``x`` is n images' channels back to back, ``(n * cin, h, w)`` with cin
     ``kernels.shape[1]``, and the output is ``(n * cout, h, w)``: each image
-    keeps its height and width, as every VGG convolution does.
+    keeps its height and width, as every VGG convolution does.  The padding
+    is built band by band as each band is lowered (``_im2col``), for the
+    forward, the kernel gradient and the input gradient alike.  A recorded
+    call keeps ``x``'s array by reference, as ``linear`` and ``mul`` do,
+    until backward pops its node.
     """
     if x.data.ndim != 3 or not x.data.size or kernels.data.ndim != 4:
         raise ShapeError(f"conv2d expects nonempty (n * cin, h, w) input and OIHW kernels, "
@@ -262,7 +279,8 @@ def conv2d(g, x, kernels, bias) -> Tensor:
     n, h, w = x.shape[0] // cin, x.shape[1], x.shape[2]
 
     kmat = kernels.data.reshape(cout, -1)
-    xp, y = _correlate(x.data.reshape(n, cin, h, w), kmat)
+    xd = x.data.reshape(n, cin, h, w)  # a view: the tape keeps the input itself
+    y = _correlate(xd, kmat)
     y += bias.data[:, None]
     out = Tensor(y.reshape(n * cout, h, w))
 
@@ -272,13 +290,14 @@ def conv2d(g, x, kernels, bias) -> Tensor:
     def backward(go):
         gmats = go.reshape(n, cout, h * w)
         dk = np.zeros((cout, cin * 9))
-        for i, gmat in enumerate(gmats):
-            dk += gmat @ _im2col(xp[i], 0, h).T
+        slab = np.zeros((cin, h + 2, w + 2))  # one band of the whole image
+        for xi, gmat in zip(xd, gmats):
+            dk += gmat @ _im2col(xi, slab, 0, h).T
         db = gmats.sum(axis=2).sum(axis=0)
         dx = None  # after dk: an image's whole column matrix and dx are never held together
         if want_dx:  # go's correlation with each kernel turned 180 degrees, cin and cout swapped
             flipped = kmat.reshape(kshape)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-            dx = _correlate(go.reshape(n, cout, h, w), flipped)[1]
+            dx = _correlate(go.reshape(n, cout, h, w), flipped)
         return (None if dx is None else dx.reshape(n * cin, h, w), dk.reshape(kshape), db)
 
     return _rec(g, out, (x, kernels, bias), backward)

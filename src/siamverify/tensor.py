@@ -11,9 +11,10 @@ gradient of every ``wrt`` tensor it reached.  A tape runs backward once.
 A node keeps a ``wrt`` input by reference, a produced input by its token, an
 integer unique in the process, and no other input; each backward closure
 keeps just the arrays it reads.  An intermediate tensor, an input image or a
-loss constant therefore dies as soon as the forward pass drops it, and a
-tensor made later cannot take its place on the tape, as one that reused its
-``id()`` could.
+loss constant therefore dies as soon as the forward pass drops it; only an
+array a closure reads, such as a recorded conv's input, lives on until
+backward pops its node.  A tensor made later cannot take a dead one's place
+on the tape, as one that reused its ``id()`` could.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from siamverify import (AugmentConfig, ImageRecord, augment, generate_pairs,
                         load_image, merge_weak_labels, parse_manifest)
-from siamverify import images
+from siamverify import dataset, images
 from siamverify.dataset import (PairRecord, distinct_images, export_pairs_csv, load_images,
                                pair_rng, PAIR_CSV_HEADER)
 from siamverify.errors import ConfigError, DomainError, FormatError, ManifestError
@@ -242,6 +243,33 @@ class TestLoadImages:
 
     def test_no_records(self):
         assert load_images([], (3, 8, 8)).shape == (0, 3, 8, 8)
+
+    def test_runs_split_at_the_budget_keep_their_bits(self, tmp_path, monkeypatch):
+        # a budget of three 40x36 sources splits every run longer than that
+        records = self.mixed_records(tmp_path) * 3
+        monkeypatch.setattr(dataset, "_RUN_BYTES", 3 * 8 * 40 * 36)
+        out = load_images(records, (1, 24, 24))
+        for r, img in zip(records, out):
+            assert img.tobytes() == load_image(r, (1, 24, 24)).data.tobytes()
+
+    def test_a_run_holds_each_source_once(self, tmp_path):
+        # 48 same-shape sources: the peak holds one copy of them, the output and
+        # the resize's three output-sized arrays, and a few images' worth of
+        # reading, not a second copy of the sources
+        n, shape, target = 48, (1, 64, 64), (1, 16, 16)
+        rng = np.random.default_rng(3)
+        for i in range(n):
+            write_f64(tmp_path / f"{i}.f64", rng.random(shape))
+        records = [rec(path=str(tmp_path / f"{i}.f64")) for i in range(n)]
+        load_images(records[:1], target)  # the resize taps, memoised
+        tracemalloc.start()
+        try:
+            out = load_images(records, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        source = 8 * np.prod(shape)
+        assert peak < n * source + 4 * out.nbytes + 8 * source
 
 
 class TestDistinctImages:

@@ -92,6 +92,30 @@ def _dx_terms(k, go):
             for o in range(cout) for i in range(3) for j in range(3)]
 
 
+def _explicit_cols(xpi, r0, r1):
+    """Reference: the 3x3 columns of output rows r0..r1 of one padded image, by explicit loops."""
+    c, _, wp = xpi.shape
+    cols = np.empty((c, 3, 3, r1 - r0, wp - 2))
+    for i in range(3):
+        for j in range(3):
+            cols[:, i, j] = xpi[:, r0 + i:r1 + i, j:j + wp - 2]
+    return cols.reshape(c * 9, -1)
+
+
+def _padded_correlate(x, kmat):
+    """Reference for ``ops._correlate``: the whole (n, c, h, w) stack padded by ``np.pad``,
+    then one gemm per image and band of output rows within ``ops._COLS_BYTES``."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    rows = max(1, ops._COLS_BYTES // (8 * c * 9 * w))
+    y = np.empty((n, kmat.shape[0], h * w))
+    for i in range(n):
+        for r0 in range(0, h, rows):
+            r1 = min(r0 + rows, h)
+            y[i, :, r0 * w:r1 * w] = kmat @ _explicit_cols(xp[i], r0, r1)
+    return y
+
+
 class TestConv2dBands:
     """Banded im2col gives the whole-layer conv's bytes, forward and parameter gradients."""
 
@@ -140,8 +164,9 @@ class TestConv2dBands:
         want = ops.conv2d(None, Tensor(go), Tensor(flipped), Tensor(np.zeros(cin)))
         np.testing.assert_array_equal(dx, want.data)
 
-    def test_recorded_conv_keeps_padded_input_not_columns(self):
-        # the 9x column matrix of a 3x3 conv must not wait on the tape for backward
+    def test_recorded_conv_keeps_no_copy_of_its_input(self):
+        # neither the 9x column matrix of a 3x3 conv nor a padded copy of its
+        # input waits on the tape for backward: the tape keeps the input itself
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((64, 64, 64)))
         k, b = Tensor(rng.standard_normal((64, 64, 3, 3))), Tensor(np.zeros(64))
@@ -152,9 +177,50 @@ class TestConv2dBands:
             retained = tracemalloc.get_traced_memory()[0] - out.data.nbytes
         finally:
             tracemalloc.stop()
-        assert retained < 2 * (64 * 66 * 66 * 8)
+        assert retained < 64 * 64 * 8  # one channel of the input
         grads = g.backward(ops.tsum(g, out))
         assert grads[x].shape == x.shape and grads[k].shape == k.shape
+
+    @pytest.mark.parametrize("rows", [None, 2, 3])  # None: the default budget, one band
+    def test_stack_matches_padded_reference(self, monkeypatch, rows):
+        # 13 rows: with 2 or 3 forward rows (and 1 or 2 for dx's three channels)
+        # the last band is partial; three images in one stack, so a halo row
+        # left in the reused slab by one band or image would change the next
+        n, cin, cout, h, w = 3, 2, 3, 13, 7
+        rng = np.random.default_rng(rows or 0)
+        xv, go = rng.standard_normal((n * cin, h, w)), rng.standard_normal((n * cout, h, w))
+        kv, bv = rng.standard_normal((cout, cin, 3, 3)), rng.standard_normal(cout)
+        if rows is not None:
+            monkeypatch.setattr(ops, "_COLS_BYTES", rows * 8 * cin * 3 * 3 * w)
+        y, dx, dk, db = _conv_closure(xv, kv, bv, go)
+        kmat, gmats = kv.reshape(cout, -1), go.reshape(n, cout, h * w)
+        xs = xv.reshape(n, cin, h, w)
+        want_y = _padded_correlate(xs, kmat) + bv[:, None]
+        want_dk = np.zeros((cout, cin * 9))
+        for xp, gmat in zip(np.pad(xs, ((0, 0), (0, 0), (1, 1), (1, 1))), gmats):
+            want_dk += gmat @ _explicit_cols(xp, 0, h).T
+        flipped = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+        want_dx = _padded_correlate(go.reshape(n, cout, h, w), flipped)
+        for got, want in ((y, want_y), (dx, want_dx), (dk, want_dk),
+                          (db, gmats.sum(axis=2).sum(axis=0))):
+            assert got.size == want.size and got.tobytes() == want.tobytes()
+
+    def test_untaped_stack_holds_no_padded_copy(self, monkeypatch):
+        # beside its input, an untaped multi-band conv over a stack holds its
+        # output, one band's columns and one slab of the band's rows
+        n, cin, cout, h, w, rows = 8, 16, 16, 32, 32, 4
+        monkeypatch.setattr(ops, "_COLS_BYTES", rows * 8 * cin * 3 * 3 * w)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((n * cin, h, w)))
+        k, b = Tensor(rng.standard_normal((cout, cin, 3, 3))), Tensor(np.zeros(cout))
+        tracemalloc.start()
+        try:
+            out = ops.conv2d(None, x, k, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        band_cols, slab = ops._COLS_BYTES, 8 * cin * (rows + 2) * (w + 2)
+        assert peak < out.data.nbytes + band_cols + slab + (1 << 16)
 
     @pytest.mark.parametrize("extra_col", [0, 1])  # 1: a 7x8 input, height != width
     def test_unkept_input_gets_no_gradient(self, monkeypatch, extra_col):
@@ -591,18 +657,38 @@ class TestBackward:
         np.testing.assert_array_equal(grads[b], (h.data > 0).astype(float))
 
     def test_unwanted_input_dies_with_the_caller(self):
-        # the tape keeps the conv's padded copy of the image, never the image
-        # itself; a Tensor takes no weak reference, so the test watches its array
+        # nothing is recorded when neither the image nor the kernel is wanted, so
+        # the image dies as soon as the caller drops it; a Tensor takes no weak
+        # reference, so the test watches its array
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((2, 6, 6)))
         w, b = Tensor(rng.standard_normal((3, 2, 3, 3))), Tensor(np.zeros(3))
-        g = Graph([w])
-        out = ops.conv2d(g, x, w, b)
+        g = Graph([Tensor(1.0)])
+        ops.conv2d(g, x, w, b)
+        assert len(g) == 0
         image = weakref.ref(x.data)
         del x
         assert image() is None
-        assert len(g) == 1
+
+    def test_recorded_conv_keeps_the_image_until_backward(self):
+        # a recorded conv keeps its input array itself and nothing of its size;
+        # the image dies when backward pops the node
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((2, 32, 32)))
+        w, b = Tensor(rng.standard_normal((3, 2, 3, 3))), Tensor(np.zeros(3))
+        g = Graph([w])
+        tracemalloc.start()
+        try:
+            out = ops.conv2d(g, x, w, b)
+            retained = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert retained < x.data.nbytes // 4
+        image = weakref.ref(x.data)
+        del x
+        assert image() is not None and len(g) == 1
         assert set(g.backward(ops.tsum(g, out))) == {w}
+        assert image() is None
 
     def test_second_backward_raises(self):
         x = Tensor(3.0)
